@@ -1,7 +1,7 @@
 """Command-line entry point with JSON I/O.
 
 Exit codes: 0 success, 2 usage error, 3 witness not found in box,
-4 certificate invalid, 5 internal budget exhausted.
+4 certificate invalid or malformed, 5 internal budget exhausted.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .genericity import (
 from .matrix import build
 from .orders import OrderSpec
 from .refuter import (
+    MalformedCertificateError,
     NoCertificateFound,
     SearchBudgetExhaustedError,
     refute,
@@ -132,8 +133,12 @@ def _cmd_refute(args: argparse.Namespace, cfg: Config) -> int:
 
 def _cmd_verify_cert(args: argparse.Namespace, cfg: Config) -> int:
     orders = [OrderSpec.from_json(o) for o in _load_json(args.orders)]
-    cert = certificate_from_json(_load_json(args.cert))
-    ok = verify_certificate(orders, cert)
+    cert_json = _load_json(args.cert)
+    try:
+        ok = verify_certificate(orders, certificate_from_json(cert_json))
+    except MalformedCertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        ok = False
     _emit({"valid": ok})
     return EXIT_OK if ok else EXIT_CERT_INVALID
 

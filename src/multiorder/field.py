@@ -128,11 +128,6 @@ class FieldScalar:
     def is_rational(self) -> bool:
         return set(self.terms) <= {1}
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational element")
-        return self.terms.get(1, Fraction(0))
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.basis.rational(other)

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 from .genericity import IntervalConstraint, MultiOrder, find_witness
 from .lattice import IntVec
-from .orders import Cmp
 
 
 class NotAnEmbeddingError(ValueError):

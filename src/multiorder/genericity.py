@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .lattice import IntVec, full_box_array, shell_blocks
+from .lattice import IntVec, first_in_box
 from .matrix import OrderMatrix
 from .orders import Cmp, LinearForm, OrderSpec
 
@@ -173,26 +173,22 @@ def _float_windows(
     return C, lo, hi
 
 
+def first_satisfying(
+    M: MultiOrder, cons: IntervalConstraint, box: int
+) -> IntVec | None:
+    """First point of [-box, box]^m in (max-norm, lex) order satisfying all
+    constraints, or None: the float windows prefilter, satisfies decides."""
+    C, lo, hi = _float_windows(M, cons)
+    return first_in_box(C, lo, hi, box, lambda z: satisfies(M, cons, z))
+
+
 def witness_brute(
     M: MultiOrder, cons: IntervalConstraint, box: int
 ) -> IntVec | None:
     """First point of [-box, box]^m in (max-norm, lex) order satisfying all
     constraints, or None (NotFoundInBox)."""
     cons.validate(M)
-    C, lo, hi = _float_windows(M, cons)
-    cmax = float(np.abs(C).max())
-    for s in range(box + 1):
-        margin = 1e-6 * (1.0 + s) * (1.0 + cmax) * M.rank
-        for block in shell_blocks(M.rank, s):
-            V = block.astype(float) @ C.T
-            mask = np.all((V > lo - margin) & (V < hi + margin), axis=1)
-            if not mask.any():
-                continue
-            for idx in np.flatnonzero(mask):
-                z = tuple(int(v) for v in block[idx])
-                if satisfies(M, cons, z):
-                    return z
-    return None
+    return first_satisfying(M, cons, box)
 
 
 def _t_schedule(start: int, count: int) -> np.ndarray:

@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 IntVec = tuple[int, ...]
-
-
-def vec_add(a: IntVec, b: IntVec) -> IntVec:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vec_sub(a: IntVec, b: IntVec) -> IntVec:
@@ -121,42 +115,6 @@ def same_lattice(a: list[IntVec], b: list[IntVec]) -> bool:
     return all(in_lattice(b, v) for v in a) and all(in_lattice(a, v) for v in b)
 
 
-def solve_coordinates(basis: list[IntVec], v: IntVec) -> IntVec | None:
-    """Integer w with w . basis = v, or None if v is outside the row span."""
-    if not basis:
-        return None
-    m = len(basis[0])
-    r = len(basis)
-    # Solve over Q by elimination on the augmented transpose, then check Z.
-    aug = [[Fraction(basis[i][j]) for i in range(r)] + [Fraction(v[j])] for j in range(m)]
-    piv_cols: list[tuple[int, int]] = []
-    row = 0
-    for col in range(r):
-        piv = next((i for i in range(row, m) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        prow = aug[row]
-        for i in range(m):
-            if i != row and aug[i][col]:
-                f = aug[i][col] / prow[col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
-        piv_cols.append((row, col))
-        row += 1
-    w = [Fraction(0)] * r
-    for prow, col in piv_cols:
-        w[col] = aug[prow][-1] / aug[prow][col]
-    for i in range(row, m):
-        if aug[i][-1]:
-            return None
-    if any(q.denominator != 1 for q in w):
-        return None
-    wi = tuple(int(q) for q in w)
-    if tuple(sum(wi[i] * basis[i][j] for i in range(r)) for j in range(m)) != v:
-        return None
-    return wi
-
-
 # -- canonical box enumeration ----------------------------------------------
 
 
@@ -199,44 +157,93 @@ def full_box_array(m: int, s: int) -> np.ndarray:
     return np.stack(grid, axis=-1).reshape(-1, m)
 
 
-_BLOCK_ROW_LIMIT = 2_000_000
-
-
-def _prepend(a: int, rest: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        [np.full((rest.shape[0], 1), a, dtype=np.int64), rest], axis=1
-    )
-
-
-def _full_box_blocks(m: int, s: int) -> Iterator[np.ndarray]:
-    """[-s, s]^m in lexicographic order, chunked to bounded-size arrays."""
-    if (2 * s + 1) ** m <= _BLOCK_ROW_LIMIT:
-        yield full_box_array(m, s)
-        return
-    for a in range(-s, s + 1):
-        for sub in _full_box_blocks(m - 1, s):
-            yield _prepend(a, sub)
-
-
 def shell_blocks(m: int, s: int) -> Iterator[np.ndarray]:
-    """The max-norm-s shell in lexicographic order, yielded in array blocks."""
-    if s == 0:
-        yield np.zeros((1, m), dtype=np.int64)
-        return
-    if m == 1:
-        yield np.array([[-s]], dtype=np.int64)
-        yield np.array([[s]], dtype=np.int64)
-        return
-    if (2 * s + 1) ** (m - 1) <= _BLOCK_ROW_LIMIT:
-        rest = full_box_array(m - 1, s)
-        on_shell = rest[np.abs(rest).max(axis=1) == s]
-        for a in range(-s, s + 1):
-            yield _prepend(a, rest if abs(a) == s else on_shell)
-        return
-    for a in range(-s, s + 1):
-        if abs(a) == s:
-            for sub in _full_box_blocks(m - 1, s):
-                yield _prepend(a, sub)
-        else:
-            for sub in shell_blocks(m - 1, s):
-                yield _prepend(a, sub)
+    """The max-norm-s shell in lexicographic order, as one array block."""
+    yield np.array(list(_iter_shell(m, s)), dtype=np.int64).reshape(-1, m)
+
+
+# -- the box-scan kernel ------------------------------------------------------
+
+_PREFIX_CHUNK = 1 << 15
+
+
+def first_in_box(
+    C: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    box: int,
+    accept: Callable[[IntVec], bool],
+) -> IntVec | None:
+    """First z of [-box, box]^m in (max-norm, lex) order with accept(z), or None.
+
+    C is an n x m float matrix; lo and hi hold n float windows, -inf/+inf
+    for an open side.  Every z with lo - margin <= C z <= hi + margin is a
+    candidate and goes to the exact predicate accept, in order.  The filter
+    is affine in the last coordinate t, so each line z = (p, t) admits one
+    interval of t.  The prefix radius doubles up to box, so a point near
+    the origin costs little in a large box.
+    """
+    return next(filter(accept, _candidates(C, lo, hi, box)), None)
+
+
+def _candidates(
+    C: np.ndarray, lo: np.ndarray, hi: np.ndarray, box: int
+) -> Iterator[IntVec]:
+    """The points first_in_box hands to accept, in order."""
+    margin = 1e-6 * (1.0 + box) * (1.0 + float(np.abs(C).max())) * C.shape[1]
+    lo, hi = lo - margin, hi + margin
+    reaches = [box]
+    while reaches[-1] > 8:
+        reaches.append((reaches[-1] + 1) // 2)
+    start = 0
+    for reach in reversed(reaches):
+        total = (2 * reach + 1) ** (C.shape[1] - 1)
+        parts = [
+            _lines(C, lo, hi, reach, k, min(k + _PREFIX_CHUNK, total))
+            for k in range(0, total, _PREFIX_CHUNK)
+        ]
+        P, a, b = (np.concatenate(x) for x in zip(*parts))
+        # Line p meets the shells max(|p|, min |t|) .. max(|p|, max |t|): at
+        # s = |p| with each t in [-s, s], beyond it with t = -s and t = s.
+        r = np.abs(P).max(axis=1, initial=0)
+        s_min = np.maximum(r, np.maximum(a, -b))
+        s_max = np.maximum(r, np.maximum(-a, b))
+        for s in range(start, reach + 1):
+            for k in np.flatnonzero((s_min <= s) & (s <= s_max)):
+                p, ak, bk = tuple(int(x) for x in P[k]), int(a[k]), int(b[k])
+                if r[k] == s:
+                    ts = range(max(ak, -s), min(bk, s) + 1)
+                else:
+                    ts = [t for t in (-s, s) if ak <= t <= bk]
+                yield from (p + (t,) for t in ts)
+        start = reach + 1
+
+
+def _lines(
+    C: np.ndarray, lo: np.ndarray, hi: np.ndarray, reach: int, first: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prefixes first..stop-1 of [-reach, reach]^(m-1) in lex order that
+    admit a t in [-reach, reach] with lo <= C (p, t) <= hi, and the bounds
+    of those t."""
+    P = np.empty((stop - first, C.shape[1] - 1))
+    rest = np.arange(first, stop)
+    for j in reversed(range(P.shape[1])):
+        rest, P[:, j] = np.divmod(rest, 2 * reach + 1)
+    P -= reach
+    t_lo, t_hi = np.full(len(P), -reach, float), np.full(len(P), reach, float)
+    for c, l, h in zip(C, lo, hi):
+        u = P @ c[:-1]
+        below, above = l - u, h - u
+        if c[-1] == 0:  # the form filters the prefix, not t
+            t_lo[(below > 0) | (above < 0)] = reach + 1
+            continue
+        if c[-1] < 0:
+            below, above = above, below
+        t_lo = np.maximum(t_lo, below / c[-1])
+        t_hi = np.minimum(t_hi, above / c[-1])
+    # Outward by a relative 1e-9 for the division (the margin covers the
+    # forms); x -> x -+ eps |x| is monotone, so rounding the max rounds all.
+    a = np.ceil(t_lo - 1e-9 * np.abs(t_lo))
+    b = np.floor(t_hi + 1e-9 * np.abs(t_hi))
+    keep = a <= b
+    return P[keep], a[keep], b[keep]

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .field import (
     FieldScalar,
     RadicalBasis,
-    coefficient_rows,
     q_linear_independent,
     rational_rank,
 )

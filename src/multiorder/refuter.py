@@ -10,8 +10,10 @@ verify_certificate without trusting the refuter.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -20,19 +22,9 @@ from .field import (
     fs_det,
     fs_row_dependency,
     q_linear_independent,
-    rational_rank,
 )
-from .genericity import IntervalConstraint
-from .lattice import (
-    IntVec,
-    int_kernel,
-    iter_box,
-    same_lattice,
-    shell_blocks,
-    solve_coordinates,
-    vec_scale,
-    vec_sub,
-)
+from .genericity import IntervalConstraint, MultiOrder, first_satisfying, satisfies
+from .lattice import IntVec, int_kernel, iter_box, same_lattice, vec_scale, vec_sub
 from .orders import Cmp, LinearForm, OrderSpec
 
 DEFAULT_SEARCH_NORM = 32
@@ -80,19 +72,6 @@ def _infinite_bounds(n: int) -> list[tuple[IntVec | None, IntVec | None]]:
 # -- exact emptiness scanning ------------------------------------------------
 
 
-def _satisfies_all(
-    orders: list[OrderSpec],
-    bounds: tuple[tuple[IntVec | None, IntVec | None], ...],
-    z: IntVec,
-) -> bool:
-    for (lo, hi), o in zip(bounds, orders):
-        if lo is not None and o.compare(lo, z) != Cmp.LESS:
-            return False
-        if hi is not None and o.compare(z, hi) != Cmp.LESS:
-            return False
-    return True
-
-
 def scan_box(
     orders: list[OrderSpec],
     bounds: tuple[tuple[IntVec | None, IntVec | None], ...],
@@ -101,28 +80,10 @@ def scan_box(
     """First point of [-box, box]^m meeting all open intervals, or None.
 
     Float prefilter on the leading forms (a necessary condition even for
-    recursive orders), exact confirmation on candidates.
+    recursive orders), exact confirmation of every candidate.
     """
-    m = orders[0].rank
-    C = np.array([o.leading.floats() for o in orders], dtype=float)
-    lo = np.full(len(orders), -np.inf)
-    hi = np.full(len(orders), np.inf)
-    for i, (l, h) in enumerate(bounds):
-        if l is not None:
-            lo[i] = float(np.dot(C[i], l))
-        if h is not None:
-            hi[i] = float(np.dot(C[i], h))
-    cmax = float(np.abs(C).max())
-    for s in range(box + 1):
-        margin = 1e-6 * (1.0 + s) * (1.0 + cmax) * m
-        for block in shell_blocks(m, s):
-            V = block.astype(float) @ C.T
-            mask = np.all((V >= lo - margin) & (V <= hi + margin), axis=1)
-            for idx in np.flatnonzero(mask):
-                z = tuple(int(v) for v in block[idx])
-                if _satisfies_all(orders, bounds, z):
-                    return z
-    return None
+    M = MultiOrder(orders[0].rank, tuple(orders))
+    return first_satisfying(M, IntervalConstraint(tuple(bounds)), box)
 
 
 def _sanity_box(m: int, box: int) -> int:
@@ -223,18 +184,12 @@ def kernel_lattice(c: LinearForm, m: int) -> list[IntVec]:
         frac_row = [coeff.terms.get(d, Fraction(0)) for coeff in c.coeffs]
         denom = 1
         for q in frac_row:
-            denom = denom * q.denominator // _gcd(denom, q.denominator)
+            denom = denom * q.denominator // gcd(denom, q.denominator)
         rows.append([int(q * denom) for q in frac_row])
     basis = int_kernel(rows)
     if not basis:
         raise ValueError("kernel unexpectedly trivial")
     return basis
-
-
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def _pullback_order(o: OrderSpec, basis: list[IntVec]) -> OrderSpec:
@@ -377,10 +332,9 @@ def _parallelepiped_empty(
         while Fraction(hi_int + 1) <= acc[1]:
             hi_int += 1
         ranges.append((lo_int, hi_int))
-    import itertools
-
+    M, cons = MultiOrder(n, tuple(orders)), IntervalConstraint(bounds)
     for z in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
-        if _satisfies_all(orders, bounds, z):
+        if satisfies(M, cons, z):
             return False
     return True
 
@@ -573,7 +527,7 @@ def _verify_discrete_base(orders: list[OrderSpec], cert: Certificate) -> bool:
     ev = cert.evidence
     i = ev["order"]
     a, b = (tuple(ev["pair"][0]), tuple(ev["pair"][1]))
-    if orders[0].rank != 1 or not (0 <= i < len(orders)):
+    if orders[0].rank != 1 or not (0 <= i < len(orders)) or len(a) != 1 or len(b) != 1:
         raise MalformedCertificateError("bad discrete-base evidence")
     if abs(b[0] - a[0]) != 1:
         return False

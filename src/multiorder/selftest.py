@@ -7,7 +7,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .field import RadicalBasis, q_linear_independent
+from .field import RadicalBasis
 from .finite import from_pattern, embed, induced, pattern_of
 from .genericity import extension_property_test, from_matrix
 from .matrix import build, verify

@@ -55,33 +55,60 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
+def _field(obj, key: str, kind: type):
+    """obj[key], checked to be a JSON value of the given kind."""
+    if not isinstance(obj, dict) or type(obj.get(key)) is not kind:
+        raise MalformedCertificateError(f"field {key!r} must be a {kind.__name__}")
+    return obj[key]
+
+
+def _vectors(obj, key: str) -> list[tuple[int, ...]]:
+    rows = _field(obj, key, list)
+    if not all(type(r) is list and all(type(x) is int for x in r) for r in rows):
+        raise MalformedCertificateError(f"field {key!r} must hold integer vectors")
+    return [tuple(r) for r in rows]
+
+
+def _scalar(obj) -> FieldScalar:
+    try:
+        return FieldScalar.from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedCertificateError(f"bad field scalar: {exc}") from exc
+
+
 def certificate_from_json(obj: dict) -> Certificate:
-    tag = obj["lemma_tag"]
-    ev = obj["evidence"]
+    """Decode a certificate; malformed input raises MalformedCertificateError."""
+    tag = _field(obj, "lemma_tag", str)
+    ev = _field(obj, "evidence", dict)
     if tag == TAG_DEPENDENT:
         evidence = {
-            "k": ev["k"],
-            "coeffs": [FieldScalar.from_json(c) for c in ev["coeffs"]],
-            "reversed": list(ev["reversed"]),
+            "k": _field(ev, "k", int),
+            "coeffs": [_scalar(c) for c in _field(ev, "coeffs", list)],
+            "reversed": list(_field(ev, "reversed", list)),
         }
     elif tag == TAG_RATIONAL_KERNEL:
         evidence = {
-            "order": ev["order"],
-            "kernel_basis": [tuple(b) for b in ev["kernel_basis"]],
-            "inner": certificate_from_json(ev["inner"]),
+            "order": _field(ev, "order", int),
+            "kernel_basis": _vectors(ev, "kernel_basis"),
+            "inner": certificate_from_json(_field(ev, "inner", dict)),
         }
     elif tag == TAG_SMALL_VOLUME:
         evidence = {
-            "det": FieldScalar.from_json(ev["det"]),
-            "widths": [FieldScalar.from_json(w) for w in ev["widths"]],
+            "det": _scalar(_field(ev, "det", dict)),
+            "widths": [_scalar(w) for w in _field(ev, "widths", list)],
         }
     elif tag == TAG_DISCRETE_BASE:
-        evidence = {
-            "order": ev["order"],
-            "pair": (tuple(ev["pair"][0]), tuple(ev["pair"][1])),
-        }
+        pair = _vectors(ev, "pair")
+        if len(pair) != 2:
+            raise MalformedCertificateError("field 'pair' must hold two vectors")
+        evidence = {"order": _field(ev, "order", int), "pair": tuple(pair)}
     else:
         raise MalformedCertificateError(f"unknown lemma tag {tag!r}")
-    return Certificate(
-        IntervalConstraint.from_json(obj["constraints"]), tag, evidence
-    )
+    try:
+        constraints = IntervalConstraint.from_json(_field(obj, "constraints", list))
+    except (KeyError, TypeError) as exc:
+        raise MalformedCertificateError(f"bad constraints: {exc}") from exc
+    ends = [e for bound in constraints.bounds for e in bound if e is not None]
+    if not all(type(x) is int for e in ends for x in e):
+        raise MalformedCertificateError("interval endpoints must be integer vectors")
+    return Certificate(constraints, tag, evidence)

@@ -130,6 +130,43 @@ class TestRefuteVerify:
         assert code == EXIT_CERT_INVALID
         assert lines[0]["valid"] is False
 
+    @pytest.mark.parametrize(
+        "orders, tag, corrupt",
+        [
+            ("small_volume", "SmallVolume", lambda c: c["evidence"].update(widths=None)),
+            ("dependent", "Dependent", lambda c: c["evidence"].update(k="1")),
+            ("dependent", "Dependent", lambda c: c.pop("evidence")),
+            ("small_volume", "SmallVolume", lambda c: c["evidence"].update(det=3)),
+            ("discrete", "DiscreteBase", lambda c: c["evidence"].update(pair=[[0], 1])),
+            ("dependent", "Dependent", lambda c: c["constraints"][0].update(lower=[None, 1])),
+        ],
+        ids=["widths-null", "k-string", "no-evidence", "det-int", "pair-int", "endpoint-null"],
+    )
+    def test_malformed_cert_is_invalid(self, capsys, tmp_path, orders, tag, corrupt):
+        b = RadicalBasis((2, 3))
+        lists = {
+            "dependent": [
+                OrderSpec(2, (LinearForm((b.one, b.sqrt(2))),)),
+                OrderSpec(2, (LinearForm((b.sqrt(2), b.rational(2))),)),
+            ],
+            "small_volume": [
+                OrderSpec(2, (LinearForm((b.one, b.sqrt(2))),)),
+                OrderSpec(2, (LinearForm((b.sqrt(3), b.one)),)),
+            ],
+            "discrete": [OrderSpec(1, (LinearForm((b.one,)),))],
+        }
+        ofile = write_json(tmp_path, "o.json", [o.to_json() for o in lists[orders]])
+        _, lines = invoke(capsys, ["refute", "--orders", ofile])
+        cert = lines[0]["certificate"]
+        assert cert["lemma_tag"] == tag
+        corrupt(cert)
+        cfile = write_json(tmp_path, "bad.json", cert)
+        code, lines = invoke(
+            capsys, ["verify-cert", "--orders", ofile, "--cert", cfile]
+        )
+        assert code == EXIT_CERT_INVALID
+        assert lines == [{"schema": 1, "valid": False}]
+
     def test_no_certificate_reported(self, capsys, tmp_path):
         b = RadicalBasis((2,))
         o = OrderSpec(2, (LinearForm((b.one, b.sqrt(2))),))

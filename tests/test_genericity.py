@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiorder.field import RadicalBasis
 from multiorder.genericity import (
@@ -11,13 +14,15 @@ from multiorder.genericity import (
     UnverifiedMatrixError,
     extension_property_test,
     find_witness,
+    first_satisfying,
     from_matrix,
     satisfies,
     witness,
     witness_brute,
 )
+from multiorder.lattice import iter_box
 from multiorder.matrix import OrderMatrix, build
-from multiorder.orders import LinearForm, OrderSpec
+from multiorder.orders import Cmp, LinearForm, OrderSpec
 
 B = RadicalBasis((2,))
 
@@ -176,3 +181,50 @@ class TestExtensionProperty:
         for i in range(m4.n):
             rep = extension_property_test(m4.drop(i), k=3, trials=20, box=8)
             assert rep.passed
+
+
+# -- the box-scan kernel against a per-point reference -------------------------
+
+RB = RadicalBasis((2, 3, 5))
+small = st.integers(-3, 3)
+
+
+@st.composite
+def scan_orders(draw, m):
+    """A dense order (distinct radicands, so Q-independent), or a recursive
+    one: a rational leading form, whose last coefficient may be zero, with a
+    dense tie-breaker."""
+    radicals = draw(st.permutations((1, 2, 3, 5)))[:m]
+    tie = LinearForm(tuple(
+        RB.rational(draw(small.filter(bool))) if d == 1
+        else RB.sqrt(d, Fraction(draw(small.filter(bool)), 2))
+        for d in radicals
+    ))
+    if m == 1 or draw(st.booleans()):
+        return OrderSpec(m, (tie,))
+    lead = draw(st.lists(small, min_size=m, max_size=m).filter(any))
+    return OrderSpec(m, (LinearForm(tuple(RB.rational(x) for x in lead)), tie))
+
+
+@st.composite
+def scan_cases(draw):
+    m = draw(st.integers(1, 3))
+    orders = [draw(scan_orders(m)) for _ in range(draw(st.integers(1, 3)))]
+    point = st.none() | st.tuples(*[st.integers(-5, 5)] * m)
+    bounds = []
+    for o in orders:
+        lo, hi = draw(point), draw(point)
+        if lo is not None and hi is not None and o.compare(lo, hi) == Cmp.GREATER:
+            lo, hi = hi, lo
+        bounds.append((lo, hi))
+    M = MultiOrder(m, tuple(orders))
+    return M, IntervalConstraint(tuple(bounds)), draw(st.integers(0, 4))
+
+
+class TestBoxScanOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases())
+    def test_first_exact_point_matches_per_point_scan(self, case):
+        M, cons, box = case
+        ref = next((z for z in iter_box(M.rank, box) if satisfies(M, cons, z)), None)
+        assert first_satisfying(M, cons, box) == ref

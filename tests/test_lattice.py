@@ -1,8 +1,10 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from multiorder.lattice import (
+    first_in_box,
     full_box_array,
     hermite_form,
     in_lattice,
@@ -10,7 +12,6 @@ from multiorder.lattice import (
     iter_box,
     same_lattice,
     shell_blocks,
-    solve_coordinates,
 )
 
 
@@ -51,12 +52,6 @@ class TestMembership:
         h = hermite_form(basis)
         assert len(h) == 2
 
-    def test_solve_coordinates(self):
-        basis = [(1, 2, 0), (0, 1, 1)]
-        w = solve_coordinates(basis, (2, 5, 1))
-        assert w == (2, 1)
-        assert solve_coordinates(basis, (1, 0, 0)) is None
-
 
 class TestEnumeration:
     def test_canonical_order_oracle(self):
@@ -84,3 +79,52 @@ class TestEnumeration:
         arr = full_box_array(2, 1)
         want = np.array(list(itertools.product([-1, 0, 1], repeat=2)))
         assert np.array_equal(arr, want)
+
+
+def integer_windows(C, lo, hi):
+    """Float inputs for first_in_box and the exact predicate they stand for:
+    integer forms C and half-integer windows make the float filter exact."""
+    def accept(z):
+        return all(l < sum(c * x for c, x in zip(row, z)) < h
+                   for row, l, h in zip(C, lo, hi))
+    return np.array(C, dtype=float), np.array(lo, dtype=float), np.array(hi, dtype=float), accept
+
+
+class TestBoxScanKernel:
+    @pytest.mark.parametrize(
+        "C, lo, hi, box, want",
+        [
+            # only the outer shell, at |t| = box with an inner prefix
+            ([[1, 0], [0, 1]], [-0.5, 3.5], [0.5, 4.5], 4, (0, 4)),
+            # only the outer shell, at |p| = box with an inner t
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [-0.5, -4.5, -0.5], [0.5, -3.5, 0.5], 4, (0, -4, 0)),
+            # negative last coefficient: -t in (3.5, 4.5)
+            ([[1, 0], [2, -1]], [-0.5, 3.5], [0.5, 4.5], 4, (0, -4)),
+            # zero last coefficient: the form filters the prefix only
+            ([[3, 0], [1, 1]], [5.5, 0.5], [6.5, 2.5], 4, (2, -1)),
+            # m = 1, both signs of the coefficient
+            ([[-2]], [-8.5], [-7.5], 4, (4,)),
+            ([[3]], [-3.5], [-2.5], 4, (-1,)),
+            # solution just outside the box
+            ([[1, 0], [0, 1]], [-0.5, 3.5], [0.5, 4.5], 3, None),
+            # open sides: every point qualifies, the origin comes first
+            ([[1, 1]], [-np.inf], [np.inf], 4, (0, 0)),
+            # a box scanned in several radii, the point on its outer shell
+            ([[1, 0, 0], [0, 1, 0], [1, 1, 1]], [-0.5, 2.5, -17.5], [0.5, 3.5, -16.5], 20, (0, 3, -20)),
+        ],
+    )
+    def test_cases_match_iter_box(self, C, lo, hi, box, want):
+        C, lo, hi, accept = integer_windows(C, lo, hi)
+        seen = []
+        got = first_in_box(C, lo, hi, box, lambda z: seen.append(z) or accept(z))
+        ref = next((z for z in iter_box(C.shape[1], box) if accept(z)), None)
+        assert got == ref == want
+        # The filter is exact here, so no candidate may fail the check.
+        assert seen == ([want] if want else [])
+
+    def test_candidates_in_canonical_order(self):
+        # x + 2y - t in {-1, 0, 1}: many lines, several points on each.
+        C, lo, hi, accept = integer_windows([[1, 2, -1]], [-1.5], [1.5])
+        seen = []
+        assert first_in_box(C, lo, hi, 12, lambda z: seen.append(z) or False) is None
+        assert seen == [z for z in iter_box(3, 12) if accept(z)]
