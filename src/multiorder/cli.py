@@ -1,7 +1,8 @@
 """Command-line entry point with JSON I/O.
 
-Exit codes: 0 success, 2 usage error, 3 witness not found in box,
-4 certificate invalid or malformed, 5 internal budget exhausted.
+Exit codes: 0 success, 2 usage error (malformed input files included),
+3 witness not found in box, 4 certificate invalid or malformed, 5 probe,
+search or precision budget exhausted.
 """
 
 from __future__ import annotations
@@ -10,11 +11,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import Callable
 
-from . import field as field_mod
+from .field import DEFAULT_PRECISION_CAP, PrecisionExceededError, precision_scope
 from .finite import FiniteNOrder, amalgamate, embed, pattern_of
 from .genericity import (
+    DEFAULT_BOX_SCHEDULE,
+    DEFAULT_PROBE_BUDGET,
     IntervalConstraint,
     MultiOrder,
     ProbeBudgetExhaustedError,
@@ -24,6 +27,7 @@ from .genericity import (
 from .matrix import build
 from .orders import OrderSpec
 from .refuter import (
+    DEFAULT_SEARCH_NORM,
     MalformedCertificateError,
     NoCertificateFound,
     SearchBudgetExhaustedError,
@@ -38,70 +42,39 @@ EXIT_NOT_FOUND = 3
 EXIT_CERT_INVALID = 4
 EXIT_BUDGET = 5
 
-
-@dataclass
-class Config:
-    precision_cap: int = 16384
-    witness_probe_budget: int = 10**6
-    brute_box_schedule: tuple[int, ...] = (8, 16, 32, 64, 128, 256, 512, 1024)
-    endpoint_search_norm: int = 32
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.precision_cap <= 0 or self.witness_probe_budget <= 0:
-            raise ValueError("config values must be positive")
-        if self.endpoint_search_norm <= 0 or self.rng_seed < 0:
-            raise ValueError("config values must be positive")
-        sched = tuple(self.brute_box_schedule)
-        if not sched or any(b <= 0 for b in sched) or list(sched) != sorted(set(sched)):
-            raise ValueError("box schedule must be positive and strictly increasing")
-        self.brute_box_schedule = sched
-
-
 def _emit(payload: dict) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _load_json(path: str):
+def _load(path: str, decode: Callable):
+    """decode applied to the JSON in path; JSON of the wrong shape is a
+    usage error (ValueError), not a traceback."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    try:
+        return decode(obj)
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"malformed input {path}: {exc!r}") from exc
 
 
-def _config_from_args(args: argparse.Namespace) -> Config:
-    cfg = Config(
-        precision_cap=args.precision_cap,
-        witness_probe_budget=args.probe_budget,
-        brute_box_schedule=tuple(args.box_schedule),
-        endpoint_search_norm=args.search_norm,
-        rng_seed=args.seed,
-    )
-    env_cap = os.environ.get("MULTIORDER_PRECISION_CAP")
-    if env_cap:
-        cfg.precision_cap = int(env_cap)
-    field_mod.DEFAULT_PRECISION_CAP = cfg.precision_cap
-    return cfg
+def _orders(obj: list) -> list[OrderSpec]:
+    return [OrderSpec.from_json(o) for o in obj]
 
 
-def _cmd_build_matrix(args: argparse.Namespace, cfg: Config) -> int:
-    A = build(args.m, args.seed_value if args.seed_value is not None else cfg.rng_seed)
+def _cmd_build_matrix(args: argparse.Namespace) -> int:
+    A = build(args.m, args.seed_value if args.seed_value is not None else args.seed)
     _emit({"matrix": A.to_json(), "verified": A.verified})
     return EXIT_OK
 
 
-def _cmd_witness(args: argparse.Namespace, cfg: Config) -> int:
-    M = MultiOrder.from_json(_load_json(args.multiorder))
-    cons = IntervalConstraint.from_json(_load_json(args.constraints))
+def _cmd_witness(args: argparse.Namespace) -> int:
+    M = _load(args.multiorder, MultiOrder.from_json)
+    cons = _load(args.constraints, IntervalConstraint.from_json)
     if M.direction is not None:
-        try:
-            res = find_witness(
-                M,
-                cons,
-                probe_budget=cfg.witness_probe_budget,
-                box_schedule=cfg.brute_box_schedule,
-            )
-        except ProbeBudgetExhaustedError:
-            return EXIT_BUDGET
+        res = find_witness(
+            M, cons, probe_budget=args.probe_budget, box_schedule=args.box_schedule
+        )
         _emit(
             {
                 "witness": list(res.point),
@@ -110,7 +83,7 @@ def _cmd_witness(args: argparse.Namespace, cfg: Config) -> int:
             }
         )
         return EXIT_OK
-    z = witness_brute(M, cons, cfg.brute_box_schedule[-1])
+    z = witness_brute(M, cons, args.box_schedule[-1])
     if z is None:
         _emit({"witness": None, "backend": "brute"})
         return EXIT_NOT_FOUND
@@ -118,24 +91,21 @@ def _cmd_witness(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def _cmd_refute(args: argparse.Namespace, cfg: Config) -> int:
-    orders = [OrderSpec.from_json(o) for o in _load_json(args.orders)]
+def _cmd_refute(args: argparse.Namespace) -> int:
+    orders = _load(args.orders, _orders)
     try:
-        cert = refute(orders, search_norm=cfg.endpoint_search_norm)
+        cert = refute(orders, search_norm=args.search_norm)
     except NoCertificateFound:
         _emit({"certificate": None, "reason": "NoCertificateFound"})
         return EXIT_OK
-    except SearchBudgetExhaustedError:
-        return EXIT_BUDGET
     _emit({"certificate": certificate_to_json(cert)})
     return EXIT_OK
 
 
-def _cmd_verify_cert(args: argparse.Namespace, cfg: Config) -> int:
-    orders = [OrderSpec.from_json(o) for o in _load_json(args.orders)]
-    cert_json = _load_json(args.cert)
+def _cmd_verify_cert(args: argparse.Namespace) -> int:
+    orders = _load(args.orders, _orders)
     try:
-        ok = verify_certificate(orders, certificate_from_json(cert_json))
+        ok = verify_certificate(orders, _load(args.cert, certificate_from_json))
     except MalformedCertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         ok = False
@@ -143,18 +113,18 @@ def _cmd_verify_cert(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK if ok else EXIT_CERT_INVALID
 
 
-def _cmd_embed(args: argparse.Namespace, cfg: Config) -> int:
-    s = FiniteNOrder.from_json(_load_json(args.structure))
-    M = MultiOrder.from_json(_load_json(args.multiorder))
-    emb = embed(s, M, probe_budget=cfg.witness_probe_budget)
+def _cmd_embed(args: argparse.Namespace) -> int:
+    s = _load(args.structure, FiniteNOrder.from_json)
+    M = _load(args.multiorder, MultiOrder.from_json)
+    emb = embed(s, M, probe_budget=args.probe_budget)
     _emit({"embedding": emb.to_json()})
     return EXIT_OK
 
 
-def _cmd_amalgamate(args: argparse.Namespace, cfg: Config) -> int:
-    a = FiniteNOrder.from_json(_load_json(args.a))
-    b1 = FiniteNOrder.from_json(_load_json(args.b1))
-    b2 = FiniteNOrder.from_json(_load_json(args.b2))
+def _cmd_amalgamate(args: argparse.Namespace) -> int:
+    a = _load(args.a, FiniteNOrder.from_json)
+    b1 = _load(args.b1, FiniteNOrder.from_json)
+    b2 = _load(args.b2, FiniteNOrder.from_json)
     f1 = tuple(json.loads(args.f1))
     f2 = tuple(json.loads(args.f2))
     c, g1, g2 = amalgamate(a, b1, b2, f1, f2)
@@ -162,17 +132,28 @@ def _cmd_amalgamate(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def _cmd_pattern(args: argparse.Namespace, cfg: Config) -> int:
-    s = FiniteNOrder.from_json(_load_json(args.structure))
+def _cmd_pattern(args: argparse.Namespace) -> int:
+    s = _load(args.structure, FiniteNOrder.from_json)
     _emit({"pattern": list(pattern_of(s))})
     return EXIT_OK
 
 
-def _cmd_selftest(args: argparse.Namespace, cfg: Config) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> int:
     from .selftest import run_selftest
 
-    ok = run_selftest(args.level, rng_seed=cfg.rng_seed)
+    ok = run_selftest(args.level, rng_seed=args.seed)
     return EXIT_OK if ok else 1
+
+
+def _positive_int(text: str) -> int:
+    """The argparse type of the budget and size options: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -181,22 +162,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Right-invariant generic multiorders on Z^m: "
         "construction, witnesses, and refutation certificates.",
     )
-    parser.add_argument("--precision-cap", type=int, default=16384)
-    parser.add_argument("--probe-budget", type=int, default=10**6)
     parser.add_argument(
-        "--box-schedule",
-        type=int,
-        nargs="+",
-        default=[8, 16, 32, 64, 128, 256, 512, 1024],
+        "--precision-cap", type=_positive_int, default=DEFAULT_PRECISION_CAP
     )
-    parser.add_argument("--search-norm", type=int, default=32)
+    parser.add_argument(
+        "--probe-budget", type=_positive_int, default=DEFAULT_PROBE_BUDGET
+    )
+    parser.add_argument(
+        "--box-schedule", type=_positive_int, nargs="+", default=DEFAULT_BOX_SCHEDULE
+    )
+    parser.add_argument(
+        "--search-norm", type=_positive_int, default=DEFAULT_SEARCH_NORM
+    )
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-matrix", help="build and verify an order matrix")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, dest="seed_value", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_build_matrix)
 
     p = sub.add_parser("witness", help="find a point meeting every interval")
@@ -240,14 +223,31 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if list(args.box_schedule) != sorted(set(args.box_schedule)):
+            parser.error("--box-schedule must be strictly increasing")
+        if args.seed < 0:
+            parser.error("--seed must not be negative")
+        env_cap = os.environ.get("MULTIORDER_PRECISION_CAP")  # overrides the flag
+        if env_cap:
+            try:
+                args.precision_cap = _positive_int(env_cap)
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"MULTIORDER_PRECISION_CAP: {exc}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        cfg = _config_from_args(args)
-        return args.func(args, cfg)
+        with precision_scope(args.precision_cap):
+            return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (
+        PrecisionExceededError,
+        ProbeBudgetExhaustedError,
+        SearchBudgetExhaustedError,
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 def main() -> None:

@@ -9,11 +9,17 @@ decidable.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import Iterator
 
 DEFAULT_PRECISION_CAP = 16384
+
+_precision_cap = ContextVar("precision_cap", default=DEFAULT_PRECISION_CAP)
+_ZERO = Fraction(0)
 
 _SQRT_FLOOR_CACHE: dict[tuple[int, int], int] = {}
 
@@ -24,6 +30,17 @@ class BasisMismatchError(ValueError):
 
 class PrecisionExceededError(ArithmeticError):
     """Sign determination hit the precision cap; indicates a bug, not math."""
+
+
+@contextmanager
+def precision_scope(cap: int) -> Iterator[None]:
+    """Make cap the precision cap of sign() and isolate() inside the block,
+    for calls that pass none of their own."""
+    token = _precision_cap.set(cap)
+    try:
+        yield
+    finally:
+        _precision_cap.reset(token)
 
 
 def is_prime(p: int) -> bool:
@@ -259,25 +276,34 @@ class FieldScalar:
                 hi += q * slo
         return lo, hi
 
-    def sign(self, precision_cap: int | None = None) -> int:
-        """Exact sign in {-1, 0, +1} via escalating interval evaluation."""
-        if not self.terms:
-            return 0
+    def isolate(self, precision_cap: int | None = None) -> tuple[Fraction, Fraction]:
+        """A rational enclosure (lo, hi) of the value that excludes 0 unless
+        the value is 0.
+
+        A rational value q, 0 included, gives (q, q).  Otherwise the
+        precision doubles from 64 bits up to the cap (the scoped cap of
+        precision_scope when none is given) until the enclosure excludes 0.
+        """
         if self.is_rational():
-            q = self.terms[1]
-            return 1 if q > 0 else -1
-        cap = precision_cap if precision_cap is not None else DEFAULT_PRECISION_CAP
+            q = self.terms.get(1, _ZERO)
+            return q, q
+        cap = _precision_cap.get() if precision_cap is None else precision_cap
         bits = 64
         while bits <= cap:
             lo, hi = self.interval(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+            if lo.numerator > 0 or hi.numerator < 0:
+                return lo, hi
             bits *= 2
         raise PrecisionExceededError(
             f"sign undecided at precision cap {cap} bits: {self!r}"
         )
+
+    def sign(self, precision_cap: int | None = None) -> int:
+        """Exact sign in {-1, 0, +1}, read off the enclosure of isolate()."""
+        lo, hi = self.isolate(precision_cap)
+        # The sign of a Fraction is the sign of its numerator; comparing
+        # integers is much cheaper than comparing a Fraction with 0.
+        return (lo.numerator > 0) - (hi.numerator < 0)
 
     def to_float(self) -> float:
         out = 0.0
@@ -303,10 +329,6 @@ class FieldScalar:
             t["radicand"]: Fraction(t["num"], t["den"]) for t in obj["terms"]
         }
         return basis.scalar(terms)
-
-
-def sign(a: FieldScalar, precision_cap: int | None = None) -> int:
-    return a.sign(precision_cap)
 
 
 # -- rational linear algebra on coefficient vectors -------------------------

@@ -6,7 +6,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .genericity import IntervalConstraint, MultiOrder, find_witness
+from .genericity import (
+    DEFAULT_PROBE_BUDGET,
+    IntervalConstraint,
+    MultiOrder,
+    find_witness,
+)
 from .lattice import IntVec
 
 
@@ -105,7 +110,9 @@ def induced(M: MultiOrder, points: list[IntVec]) -> FiniteNOrder:
     return FiniteNOrder(len(points), M.n, tuple(orders))
 
 
-def embed(s: FiniteNOrder, M: MultiOrder, probe_budget: int = 10**6) -> Embedding:
+def embed(
+    s: FiniteNOrder, M: MultiOrder, probe_budget: int = DEFAULT_PROBE_BUDGET
+) -> Embedding:
     """Place the points one at a time, each via a witness call constrained
     by its position relative to the already-placed points in every order."""
     if s.n != M.n:

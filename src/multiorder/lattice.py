@@ -150,13 +150,6 @@ def _iter_full_box(m: int, s: int) -> Iterator[IntVec]:
             yield (a,) + rest
 
 
-def full_box_array(m: int, s: int) -> np.ndarray:
-    """All points of [-s, s]^m as an array in lexicographic row order."""
-    axes = [np.arange(-s, s + 1)] * m
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack(grid, axis=-1).reshape(-1, m)
-
-
 def shell_blocks(m: int, s: int) -> Iterator[np.ndarray]:
     """The max-norm-s shell in lexicographic order, as one array block."""
     yield np.array(list(_iter_shell(m, s)), dtype=np.int64).reshape(-1, m)

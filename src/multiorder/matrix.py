@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .field import (
-    FieldScalar,
     RadicalBasis,
     fs_det,
     fs_dot,
@@ -61,9 +60,6 @@ class OrderMatrix:
         for r in self.rows:
             if r.rank != self.m:
                 raise ValueError("row length differs from m")
-
-    def entry(self, i: int, j: int) -> FieldScalar:
-        return self.rows[i].coeffs[j]
 
     def to_json(self) -> dict:
         return {

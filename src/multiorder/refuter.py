@@ -13,9 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-
-import numpy as np
+from math import ceil, floor, gcd
 
 from .field import (
     FieldScalar,
@@ -252,14 +250,6 @@ def refute_rational_kernel(
 # -- small-volume path -------------------------------------------------------
 
 
-def _interval_of(v: FieldScalar, bits: int = 64) -> tuple[Fraction, Fraction]:
-    lo, hi = v.interval(bits)
-    while lo <= 0 <= hi and not v.is_zero() and bits <= 16384:
-        bits *= 2
-        lo, hi = v.interval(bits)
-    return lo, hi
-
-
 def _imul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
     prods = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
     return min(prods), max(prods)
@@ -291,12 +281,10 @@ def _inverse_intervals(
 ) -> list[list[tuple[Fraction, Fraction]]]:
     """Outward rational enclosures of the entries of the matrix inverse."""
     adj = _adjugate(rows)
-    dlo, dhi = _interval_of(det)
-    if dlo <= 0 <= dhi:
-        raise ArithmeticError("determinant interval spans zero")
+    dlo, dhi = det.isolate()
     rec = (1 / dhi, 1 / dlo)
     n = len(rows)
-    return [[_imul(_interval_of(adj[t][i]), rec) for i in range(n)] for t in range(n)]
+    return [[_imul(adj[t][i].isolate(), rec) for i in range(n)] for t in range(n)]
 
 
 def _parallelepiped_empty(
@@ -312,26 +300,15 @@ def _parallelepiped_empty(
     n = len(orders)
     windows = []
     for (lo_pt, hi_pt), o in zip(bounds, orders):
-        vlo = _interval_of(o.leading.value(lo_pt))
-        vhi = _interval_of(o.leading.value(hi_pt))
+        vlo = o.leading.value(lo_pt).isolate()
+        vhi = o.leading.value(hi_pt).isolate()
         windows.append((min(vlo[0], vhi[0]), max(vlo[1], vhi[1])))
     ranges = []
     for t in range(n):
         acc = (Fraction(0), Fraction(0))
         for i in range(n):
             acc = _iadd(acc, _imul(inv_intervals[t][i], windows[i]))
-        lo_int = int(np.ceil(float(acc[0]))) - 1
-        hi_int = int(np.floor(float(acc[1]))) + 1
-        # tighten exactly
-        while Fraction(lo_int) < acc[0]:
-            lo_int += 1
-        while Fraction(lo_int - 1) >= acc[0]:
-            lo_int -= 1
-        while Fraction(hi_int) > acc[1]:
-            hi_int -= 1
-        while Fraction(hi_int + 1) <= acc[1]:
-            hi_int += 1
-        ranges.append((lo_int, hi_int))
+        ranges.append((ceil(acc[0]), floor(acc[1])))
     M, cons = MultiOrder(n, tuple(orders)), IntervalConstraint(bounds)
     for z in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
         if satisfies(M, cons, z):

@@ -2,19 +2,20 @@ import json
 
 import pytest
 
+from multiorder import cli
 from multiorder.cli import (
+    EXIT_BUDGET,
     EXIT_CERT_INVALID,
     EXIT_NOT_FOUND,
     EXIT_OK,
     EXIT_USAGE,
-    Config,
     run,
 )
 from multiorder.finite import FiniteNOrder
 from multiorder.genericity import IntervalConstraint, MultiOrder, from_matrix
 from multiorder.matrix import build
 from multiorder.orders import LinearForm, OrderSpec
-from multiorder.field import RadicalBasis
+from multiorder.field import PrecisionExceededError, RadicalBasis
 
 
 def invoke(capsys, argv):
@@ -34,17 +35,62 @@ def m2_file(tmp_path):
     return write_json(tmp_path, "m2.json", from_matrix(build(2, 0)).to_json())
 
 
-class TestConfig:
-    def test_defaults_valid(self):
-        Config()
+@pytest.fixture()
+def cons_file(tmp_path):
+    cons = IntervalConstraint((((0, 0), (1, 1)),)).to_json()
+    return write_json(tmp_path, "cons.json", cons)
 
-    def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            Config(precision_cap=0)
-        with pytest.raises(ValueError):
-            Config(brute_box_schedule=(8, 8))
-        with pytest.raises(ValueError):
-            Config(brute_box_schedule=(16, 8))
+
+@pytest.fixture()
+def witness_files(m2_file, cons_file):
+    return ["witness", "--multiorder", m2_file, "--constraints", cons_file]
+
+
+class TestGlobalOptions:
+    # nargs="+" makes --box-schedule take every number that follows it, so
+    # another option has to end it.
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--precision-cap", "0"], "not a positive integer"),
+            (["--probe-budget", "0"], "not a positive integer"),
+            (["--search-norm", "0"], "not a positive integer"),
+            (["--box-schedule", "8", "8", "--seed", "0"], "strictly increasing"),
+            (["--box-schedule", "16", "8", "--seed", "0"], "strictly increasing"),
+            (["--box-schedule", "8", "-16", "--seed", "0"], "not a positive integer"),
+            (["--seed", "-1"], "must not be negative"),
+        ],
+        ids=["cap-0", "budget-0", "norm-0", "schedule-repeat", "schedule-down",
+             "schedule-negative", "seed-negative"],
+    )
+    def test_bad_value_is_usage_error(self, capsys, option, message):
+        code = run(option + ["build-matrix", "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_exhausted_precision_cap(self, capsys, witness_files):
+        code = run(["--precision-cap", "32"] + witness_files)
+        captured = capsys.readouterr()
+        assert code == EXIT_BUDGET
+        assert captured.out == ""
+        assert captured.err.startswith("error: sign undecided")
+        assert captured.err.count("\n") == 1
+        assert RadicalBasis((2,)).sqrt(2).sign() == 1
+
+    def test_cap_restored_when_command_raises(self, capsys, monkeypatch):
+        sqrt2 = RadicalBasis((2,)).sqrt(2)
+
+        def failing_build(m, seed):
+            with pytest.raises(PrecisionExceededError):
+                sqrt2.sign()
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(cli, "build", failing_build)
+        with pytest.raises(RuntimeError):
+            run(["--precision-cap", "32", "build-matrix", "--m", "2"])
+        assert sqrt2.sign() == 1
 
 
 class TestBuildMatrix:
@@ -224,16 +270,51 @@ class TestUsageErrors:
         )
         assert code == EXIT_USAGE
 
-    def test_env_precision_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("MULTIORDER_PRECISION_CAP", "4096")
-        code, _ = invoke(capsys, ["build-matrix", "--m", "2"])
-        assert code == EXIT_OK
-        import multiorder.field as field_mod
+    def test_env_precision_cap(self, capsys, monkeypatch, witness_files):
+        for env_cap, want in [
+            ("4096", EXIT_OK), ("32", EXIT_BUDGET), ("0", EXIT_USAGE), ("abc", EXIT_USAGE)
+        ]:
+            monkeypatch.setenv("MULTIORDER_PRECISION_CAP", env_cap)
+            # The environment takes precedence over the flag.
+            code, _ = invoke(capsys, ["--precision-cap", "4096"] + witness_files)
+            assert code == want, env_cap
+            assert RadicalBasis((2,)).sqrt(2).sign() == 1
 
-        assert field_mod.DEFAULT_PRECISION_CAP == 4096
-        monkeypatch.delenv("MULTIORDER_PRECISION_CAP")
-        invoke(capsys, ["build-matrix", "--m", "2"])
-        assert field_mod.DEFAULT_PRECISION_CAP == 16384
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["refute", "--orders", "BAD"], [{"rank": 2, "forms": 5}]),
+            (["verify-cert", "--orders", "BAD", "--cert", "M2"], [{"forms": []}]),
+            (["witness", "--multiorder", "BAD", "--constraints", "CONS"], [{"rank": 2}]),
+            (["witness", "--multiorder", "M2", "--constraints", "BAD"],
+             [{"lower": 5, "upper": "+inf"}]),
+            (["embed", "--structure", "BAD", "--multiorder", "M2"],
+             {"k": 2, "n": 1, "orders": 3}),
+            (["pattern", "--structure", "BAD"], ["k", "n"]),
+            (["amalgamate", "--a", "BAD", "--b1", "S", "--b2", "S", "--f1", "[0]",
+              "--f2", "[0]"], {"k": 1, "n": 1}),
+            (["amalgamate", "--a", "S", "--b1", "BAD", "--b2", "S", "--f1", "[0]",
+              "--f2", "[0]"], None),
+            (["amalgamate", "--a", "S", "--b1", "S", "--b2", "BAD", "--f1", "[0]",
+              "--f2", "[0]"], {"k": 2, "n": 1, "orders": [[0, 1], 5]}),
+        ],
+        ids=["orders", "verify-orders", "multiorder", "constraints", "structure",
+             "pattern-structure", "a", "b1", "b2"],
+    )
+    def test_malformed_input_is_usage_error(
+        self, capsys, tmp_path, m2_file, cons_file, argv, bad
+    ):
+        files = {
+            "BAD": write_json(tmp_path, "bad.json", bad),
+            "M2": m2_file,
+            "CONS": cons_file,
+            "S": write_json(tmp_path, "s.json", FiniteNOrder(1, 1, ((0,),)).to_json()),
+        }
+        code = run([files.get(a, a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed input")
 
 
 class TestSelftest:

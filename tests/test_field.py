@@ -13,6 +13,7 @@ from multiorder.field import (
     fs_det,
     fs_det_elimination,
     fs_row_dependency,
+    precision_scope,
     q_linear_independent,
     rational_rank,
 )
@@ -83,6 +84,35 @@ class TestSign:
         v = B23.sqrt(2)
         with pytest.raises(PrecisionExceededError):
             v.sign(precision_cap=32)
+
+    def test_precision_scope_restored_on_raise(self):
+        v = B23.sqrt(2)
+        with pytest.raises(PrecisionExceededError):
+            with precision_scope(32):
+                v.sign()
+        assert v.sign() == 1
+        with precision_scope(32):
+            assert v.sign(precision_cap=64) == 1
+
+
+class TestIsolate:
+    def test_zero(self):
+        assert B23.zero.isolate() == (0, 0)
+
+    def test_rational(self):
+        assert B23.rational(Fraction(-3, 7)).isolate() == (Fraction(-3, 7),) * 2
+
+    def test_irrational_excludes_zero(self):
+        # The enclosure is far tighter than to_float()'s own rounding error.
+        v = B235.sqrt(2) + B235.sqrt(3) - B235.sqrt(5)
+        lo, hi = v.isolate()
+        assert 0 < lo and lo - 1e-12 <= v.to_float() <= hi + 1e-12
+        lo, hi = (-v).isolate()
+        assert hi < 0 and lo - 1e-12 <= (-v).to_float() <= hi + 1e-12
+
+    def test_cap_error(self):
+        with pytest.raises(PrecisionExceededError):
+            B23.sqrt(2).isolate(precision_cap=32)
 
 
 class TestQLinearIndependence:

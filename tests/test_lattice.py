@@ -5,7 +5,6 @@ import pytest
 
 from multiorder.lattice import (
     first_in_box,
-    full_box_array,
     hermite_form,
     in_lattice,
     int_kernel,
@@ -74,11 +73,6 @@ class TestEnumeration:
                 got = np.concatenate(list(shell_blocks(m, s)))
                 want = np.array(list(_iter_shell(m, s)))
                 assert np.array_equal(got, want)
-
-    def test_full_box_lex(self):
-        arr = full_box_array(2, 1)
-        want = np.array(list(itertools.product([-1, 0, 1], repeat=2)))
-        assert np.array_equal(arr, want)
 
 
 def integer_windows(C, lo, hi):
