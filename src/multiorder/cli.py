@@ -116,7 +116,9 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
 def _cmd_embed(args: argparse.Namespace) -> int:
     s = _load(args.structure, FiniteNOrder.from_json)
     M = _load(args.multiorder, MultiOrder.from_json)
-    emb = embed(s, M, probe_budget=args.probe_budget)
+    emb = embed(
+        s, M, probe_budget=args.probe_budget, box_schedule=args.box_schedule
+    )
     _emit({"embedding": emb.to_json()})
     return EXIT_OK
 
@@ -125,11 +127,17 @@ def _cmd_amalgamate(args: argparse.Namespace) -> int:
     a = _load(args.a, FiniteNOrder.from_json)
     b1 = _load(args.b1, FiniteNOrder.from_json)
     b2 = _load(args.b2, FiniteNOrder.from_json)
-    f1 = tuple(json.loads(args.f1))
-    f2 = tuple(json.loads(args.f2))
-    c, g1, g2 = amalgamate(a, b1, b2, f1, f2)
+    c, g1, g2 = amalgamate(a, b1, b2, _labels(args.f1), _labels(args.f2))
     _emit({"c": c.to_json(), "g1": list(g1), "g2": list(g2)})
     return EXIT_OK
+
+
+def _labels(text: str) -> tuple[int, ...]:
+    """An --f1/--f2 value: a JSON list of integer labels."""
+    labels = json.loads(text)
+    if type(labels) is not list or not all(type(x) is int for x in labels):
+        raise ValueError(f"expected a JSON list of integer labels, got {text!r}")
+    return tuple(labels)
 
 
 def _cmd_pattern(args: argparse.Namespace) -> int:
@@ -169,7 +177,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--probe-budget", type=_positive_int, default=DEFAULT_PROBE_BUDGET
     )
     parser.add_argument(
-        "--box-schedule", type=_positive_int, nargs="+", default=DEFAULT_BOX_SCHEDULE
+        "--box-schedule",
+        type=_positive_int,
+        nargs="+",
+        default=DEFAULT_BOX_SCHEDULE,
+        help="strictly increasing boxes of the brute-force fallback; it takes "
+        "every number that follows, so another option must come before the "
+        "subcommand, e.g. --box-schedule 16 32 --seed 0 witness ...",
     )
     parser.add_argument(
         "--search-norm", type=_positive_int, default=DEFAULT_SEARCH_NORM

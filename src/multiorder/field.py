@@ -14,7 +14,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterator, Sequence
 
 DEFAULT_PRECISION_CAP = 16384
 
@@ -325,9 +325,11 @@ class FieldScalar:
     @staticmethod
     def from_json(obj: dict) -> FieldScalar:
         basis = RadicalBasis(tuple(obj["basis"]))
-        terms = {
-            t["radicand"]: Fraction(t["num"], t["den"]) for t in obj["terms"]
-        }
+        terms = {}
+        for t in obj["terms"]:
+            if t["den"] == 0:
+                raise ValueError(f"malformed input: term {t!r} has denominator 0")
+            terms[t["radicand"]] = Fraction(t["num"], t["den"])
         return basis.scalar(terms)
 
 
@@ -357,11 +359,13 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def coefficient_rows(vals: list[FieldScalar]) -> tuple[list[int], list[list[Fraction]]]:
-    """Expand field values into rational vectors over their shared radicands."""
+def radicand_rows(vals: Sequence[FieldScalar]) -> list[list[Fraction]]:
+    """The rational expansion of a vector of field values: one row per
+    radicand d occurring in it (ascending), holding each value's
+    coefficient of sqrt(d).  An integer vector z has sum(z_i * vals_i) = 0
+    exactly when every row annihilates z."""
     radicands = sorted({d for v in vals for d in v.terms})
-    rows = [[v.terms.get(d, Fraction(0)) for d in radicands] for v in vals]
-    return radicands, rows
+    return [[v.terms.get(d, _ZERO) for v in vals] for d in radicands]
 
 
 def q_linear_independent(vals: list[FieldScalar]) -> bool:
@@ -372,8 +376,9 @@ def q_linear_independent(vals: list[FieldScalar]) -> bool:
     for v in vals[1:]:
         if v.basis != b:
             raise BasisMismatchError("mixed bases in q_linear_independent")
-    _, rows = coefficient_rows(vals)
-    return rational_rank(rows) == len(vals)
+    # One row per value (the transpose): the elimination then stops after
+    # len(vals) pivots instead of clearing one row per radicand.
+    return rational_rank(list(zip(*radicand_rows(vals)))) == len(vals)
 
 
 # -- linear algebra over the field ------------------------------------------
@@ -404,6 +409,22 @@ def fs_det(rows: list[tuple[FieldScalar, ...]]) -> FieldScalar:
         term = entry * fs_det(minor)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def fs_cofactors(rows: list[tuple[FieldScalar, ...]]) -> tuple[FieldScalar, ...]:
+    """The signed maximal minors of an (n-1) x n matrix: entry j is (-1)^j
+    times the minor without column j.
+
+    So det([v] + rows) == fs_dot(v, fs_cofactors(rows)) for every v, and
+    the result is orthogonal to every row (a determinant with a repeated
+    row vanishes).
+    """
+    n = len(rows) + 1
+    out = []
+    for j in range(n):
+        minor = fs_det([r[:j] + r[j + 1 :] for r in rows])
+        out.append(minor if j % 2 == 0 else -minor)
+    return tuple(out)
 
 
 def fs_det_elimination(rows: list[tuple[FieldScalar, ...]]) -> FieldScalar:

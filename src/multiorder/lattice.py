@@ -26,55 +26,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def int_kernel(rows: list[list[int]]) -> list[IntVec]:
-    """Z-basis of {z in Z^m : A z = 0} for an integer matrix A (list of rows).
+def _echelon(work: list[list[int]], ncols: int) -> int:
+    """Row-reduce work in place over its first ncols columns by unimodular
+    row operations, into echelon form with positive pivots; the rank.
 
-    The kernel of an integer matrix is a saturated (pure) sublattice, so the
-    returned basis generates every integer solution.
+    A pivot row is made positive only after its column is done, so the
+    rows past the rank never depend on pivot signs.
     """
-    if not rows:
-        raise ValueError("empty constraint matrix")
-    m = len(rows[0])
-    r = len(rows)
-    # Work on B = A^T (m x r) with a unimodular transform U (m x m).
-    B = [[rows[i][j] for i in range(r)] for j in range(m)]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     row = 0
-    for col in range(r):
-        for i in range(row + 1, m):
-            if B[i][col] == 0:
-                continue
-            a, b = B[row][col], B[i][col]
-            if a == 0:
-                B[row], B[i] = B[i], B[row]
-                U[row], U[i] = U[i], U[row]
-                continue
-            g, x, y = _xgcd(a, b)
-            p, q = a // g, b // g
-            B[row], B[i] = (
-                [x * u + y * v for u, v in zip(B[row], B[i])],
-                [-q * u + p * v for u, v in zip(B[row], B[i])],
-            )
-            U[row], U[i] = (
-                [x * u + y * v for u, v in zip(U[row], U[i])],
-                [-q * u + p * v for u, v in zip(U[row], U[i])],
-            )
-        if B[row][col] != 0:
-            row += 1
-            if row == m:
-                break
-    return [tuple(U[i]) for i in range(row, m)]
-
-
-def hermite_form(basis: list[IntVec]) -> list[list[int]]:
-    """Row-style Hermite echelon of the given generators (zero rows dropped)."""
-    if not basis:
-        return []
-    m = len(basis[0])
-    work = [list(b) for b in basis]
-    out: list[list[int]] = []
-    row = 0
-    for col in range(m):
+    for col in range(ncols):
         for i in range(row + 1, len(work)):
             if work[i][col] == 0:
                 continue
@@ -88,14 +48,38 @@ def hermite_form(basis: list[IntVec]) -> list[list[int]]:
                 [x * u + y * v for u, v in zip(work[row], work[i])],
                 [-q * u + p * v for u, v in zip(work[row], work[i])],
             )
-        if row < len(work) and work[row][col] != 0:
+        if work[row][col] != 0:
             if work[row][col] < 0:
                 work[row] = [-v for v in work[row]]
-            out.append(work[row])
             row += 1
             if row == len(work):
                 break
-    return out
+    return row
+
+
+def int_kernel(rows: list[list[int]]) -> list[IntVec]:
+    """Z-basis of {z in Z^m : A z = 0} for an integer matrix A (list of rows).
+
+    Reduces [A^T | I] over the columns of A^T: the identity part of each
+    row past the rank is a unimodular combination mapped to 0 by A.  The
+    kernel of an integer matrix is a saturated (pure) sublattice, so the
+    returned basis generates every integer solution.
+    """
+    if not rows:
+        raise ValueError("empty constraint matrix")
+    m = len(rows[0])
+    r = len(rows)
+    work = [[a[j] for a in rows] + [int(i == j) for i in range(m)] for j in range(m)]
+    rank = _echelon(work, r)
+    return [tuple(w[r:]) for w in work[rank:]]
+
+
+def hermite_form(basis: list[IntVec]) -> list[list[int]]:
+    """Row-style Hermite echelon of the given generators (zero rows dropped)."""
+    if not basis:
+        return []
+    work = [list(b) for b in basis]
+    return work[: _echelon(work, len(work[0]))]
 
 
 def in_lattice(basis: list[IntVec], v: IntVec) -> bool:

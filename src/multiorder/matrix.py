@@ -3,7 +3,7 @@
 The first m-1 rows carry square roots of distinct primes, so each has
 Q-linearly-independent components; the last row is the generalized cross
 product of the others, hence exactly orthogonal to all of them.  Every
-candidate is verified exactly before being returned.
+matrix is verified exactly before being returned.
 """
 
 from __future__ import annotations
@@ -12,16 +12,13 @@ from dataclasses import dataclass, field
 
 from .field import (
     RadicalBasis,
+    fs_cofactors,
     fs_det,
     fs_dot,
     primes_from,
     q_linear_independent,
 )
 from .orders import LinearForm
-
-
-class BuildRetryExhaustedError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -73,20 +70,11 @@ class OrderMatrix:
         return OrderMatrix(obj["m"], rows, rows[0].basis)
 
 
-def cross_row(rows: list[LinearForm], basis: RadicalBasis) -> LinearForm:
-    """The vector of signed maximal minors of an (m-1) x m matrix.
-
-    Orthogonal to every input row: the dot product expands a determinant
-    with a duplicated row.  Sign convention fixed so that the single row
-    (1, sqrt(2)) yields (-sqrt(2), 1).
-    """
-    m = len(rows) + 1
-    entries = []
-    for j in range(m):
-        minor = [tuple(r.coeffs[t] for t in range(m) if t != j) for r in rows]
-        d = fs_det(minor)
-        entries.append(-d if j % 2 == 0 else d)
-    return LinearForm(tuple(entries))
+def cross_row(rows: list[LinearForm]) -> LinearForm:
+    """The generalized cross product of an (m-1) x m matrix: its negated
+    cofactors, orthogonal to every input row.  Sign convention fixed so
+    that the single row (1, sqrt(2)) yields (-sqrt(2), 1)."""
+    return LinearForm(tuple(-c for c in fs_cofactors([r.coeffs for r in rows])))
 
 
 def verify(A: OrderMatrix) -> VerifyReport:
@@ -103,31 +91,25 @@ def verify(A: OrderMatrix) -> VerifyReport:
     )
 
 
-def build(m: int, seed: int, max_attempts: int = 64) -> OrderMatrix:
+def build(m: int, seed: int) -> OrderMatrix:
     """A verified OrderMatrix with radical entries, deterministic in seed.
 
-    Row i (i < m-1) is (1, sqrt(p_1), ..., sqrt(p_{m-1})) over primes drawn
-    consecutively from the seed-th prime on; the last row is the cross
-    product of the others.  On verification failure the prime window is
-    advanced and the construction retried.
+    Row i (i < m-1) is (1, sqrt(p_1), ..., sqrt(p_{m-1})) over its own
+    m-1 primes, drawn consecutively from the seed-th prime on; the last
+    row is the cross product of the others.  verify() always passes: the
+    entries of each row are distinct radicals; entry j of the last row is
+    a sum of monomials whose prime set determines j, so its entries are
+    Q-independent; and det = +-(sum of the squared cross entries) > 0.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    per_row = m - 1
-    need = per_row * (m - 1)
-    for attempt in range(max_attempts):
-        primes = primes_from(seed + attempt, need)
-        basis = RadicalBasis(tuple(sorted(primes)))
-        rows = []
-        for i in range(m - 1):
-            chunk = primes[i * per_row : (i + 1) * per_row]
-            coeffs = [basis.one] + [basis.sqrt(p) for p in chunk]
-            rows.append(LinearForm(tuple(coeffs)))
-        last = cross_row(rows, basis)
-        A = OrderMatrix(m, tuple(rows) + (last,), basis, verified=False)
-        report = verify(A)
-        if report.ok:
-            return OrderMatrix(m, A.rows, basis, verified=True)
-    raise BuildRetryExhaustedError(
-        f"no verified matrix for m={m} within {max_attempts} attempts"
-    )
+    primes = primes_from(seed, (m - 1) ** 2)
+    basis = RadicalBasis(tuple(primes))
+    rows = []
+    for i in range(m - 1):
+        chunk = primes[i * (m - 1) : (i + 1) * (m - 1)]
+        rows.append(LinearForm((basis.one,) + tuple(basis.sqrt(p) for p in chunk)))
+    A = OrderMatrix(m, tuple(rows) + (cross_row(rows),), basis)
+    if not verify(A).ok:
+        raise RuntimeError(f"build({m}, {seed}) failed verification")
+    return OrderMatrix(m, A.rows, basis, verified=True)

@@ -15,6 +15,7 @@ from .field import (
     FieldScalar,
     RadicalBasis,
     q_linear_independent,
+    radicand_rows,
     rational_rank,
 )
 from .lattice import IntVec, iter_box, vec_sub
@@ -123,11 +124,7 @@ class OrderSpec:
     def _validate_totality(self) -> None:
         # Each form contributes one rational constraint row per radicand;
         # the order is total iff the stacked rows have full column rank.
-        rows: list[list[Fraction]] = []
-        for f in self.forms:
-            radicands = sorted({d for c in f.coeffs for d in c.terms})
-            for d in radicands:
-                rows.append([c.terms.get(d, Fraction(0)) for c in f.coeffs])
+        rows = [row for f in self.forms for row in radicand_rows(f.coeffs)]
         if rational_rank(rows) != self.rank:
             raise NotTotalError(
                 "nonzero integer vectors are annihilated by every form"

@@ -17,9 +17,11 @@ from math import ceil, floor, gcd
 
 from .field import (
     FieldScalar,
+    fs_cofactors,
     fs_det,
     fs_row_dependency,
     q_linear_independent,
+    radicand_rows,
 )
 from .genericity import IntervalConstraint, MultiOrder, first_satisfying, satisfies
 from .lattice import IntVec, int_kernel, iter_box, same_lattice, vec_scale, vec_sub
@@ -176,10 +178,8 @@ def kernel_lattice(c: LinearForm, m: int) -> list[IntVec]:
         raise ValueError("form length differs from m")
     if q_linear_independent(list(c.coeffs)):
         raise ValueError("components are Q-independent; kernel is zero")
-    radicands = sorted({d for coeff in c.coeffs for d in coeff.terms})
     rows: list[list[int]] = []
-    for d in radicands:
-        frac_row = [coeff.terms.get(d, Fraction(0)) for coeff in c.coeffs]
+    for frac_row in radicand_rows(c.coeffs):
         denom = 1
         for q in frac_row:
             denom = denom * q.denominator // gcd(denom, q.denominator)
@@ -259,32 +259,24 @@ def _iadd(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
     return a[0] + b[0], a[1] + b[1]
 
 
-def _adjugate(rows: list[tuple[FieldScalar, ...]]) -> list[list[FieldScalar]]:
-    n = len(rows)
-    if n == 1:
-        return [[rows[0][0].basis.one]]
-    adj = [[None] * n for _ in range(n)]
-    for t in range(n):
-        for i in range(n):
-            minor = [
-                tuple(rows[r][c] for c in range(n) if c != t)
-                for r in range(n)
-                if r != i
-            ]
-            d = fs_det(minor)
-            adj[t][i] = d if (t + i) % 2 == 0 else -d
-    return adj
-
-
 def _inverse_intervals(
     rows: list[tuple[FieldScalar, ...]], det: FieldScalar
 ) -> list[list[tuple[Fraction, Fraction]]]:
-    """Outward rational enclosures of the entries of the matrix inverse."""
-    adj = _adjugate(rows)
+    """Outward rational enclosures of the entries of the matrix inverse.
+
+    Entry (t, i) is adj[t][i] / det, and column i of the adjugate is
+    (-1)^i times the cofactors of the rows other than row i.
+    """
     dlo, dhi = det.isolate()
     rec = (1 / dhi, 1 / dlo)
     n = len(rows)
-    return [[_imul(adj[t][i].isolate(), rec) for i in range(n)] for t in range(n)]
+    if n == 1:
+        return [[rec]]
+    adj_cols = []
+    for i in range(n):
+        col = fs_cofactors(rows[:i] + rows[i + 1 :])
+        adj_cols.append(col if i % 2 == 0 else tuple(-c for c in col))
+    return [[_imul(adj_cols[i][t].isolate(), rec) for i in range(n)] for t in range(n)]
 
 
 def _parallelepiped_empty(

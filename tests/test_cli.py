@@ -11,7 +11,7 @@ from multiorder.cli import (
     EXIT_USAGE,
     run,
 )
-from multiorder.finite import FiniteNOrder
+from multiorder.finite import FiniteNOrder, from_pattern
 from multiorder.genericity import IntervalConstraint, MultiOrder, from_matrix
 from multiorder.matrix import build
 from multiorder.orders import LinearForm, OrderSpec
@@ -185,8 +185,11 @@ class TestRefuteVerify:
             ("small_volume", "SmallVolume", lambda c: c["evidence"].update(det=3)),
             ("discrete", "DiscreteBase", lambda c: c["evidence"].update(pair=[[0], 1])),
             ("dependent", "Dependent", lambda c: c["constraints"][0].update(lower=[None, 1])),
+            ("small_volume", "SmallVolume",
+             lambda c: c["evidence"]["det"]["terms"][0].update(den=0)),
         ],
-        ids=["widths-null", "k-string", "no-evidence", "det-int", "pair-int", "endpoint-null"],
+        ids=["widths-null", "k-string", "no-evidence", "det-int", "pair-int", "endpoint-null",
+             "den-zero"],
     )
     def test_malformed_cert_is_invalid(self, capsys, tmp_path, orders, tag, corrupt):
         b = RadicalBasis((2, 3))
@@ -258,6 +261,35 @@ class TestFiniteCommands:
         assert len(lines[0]["g1"]) == 2
 
 
+    @pytest.mark.parametrize(
+        "f1",
+        ["5", '["x"]', "[0.5]", "[true]", '{"0": 0}', "[0", "[5]", "[]"],
+        ids=["int", "string-label", "float-label", "bool-label", "object", "bad-json",
+             "out-of-range", "empty"],
+    )
+    def test_bad_label_map_is_usage_error(self, capsys, tmp_path, f1):
+        s = write_json(tmp_path, "s.json", FiniteNOrder(1, 1, ((0,),)).to_json())
+        code = run(["amalgamate", "--a", s, "--b1", s, "--b2", s, "--f1", f1, "--f2", "[0]"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_embed_honours_box_schedule(self, capsys, tmp_path):
+        # With one probe the line walk misses the third point; the brute
+        # fallback finds it in the box [-8, 8]^3 but not in [-1, 1]^3.
+        mfile = write_json(tmp_path, "m3.json", from_matrix(build(3, 0)).to_json())
+        sfile = write_json(tmp_path, "s.json", from_pattern((2, 3, 1)).to_json())
+        argv = ["--seed", "0", "embed", "--structure", sfile, "--multiorder", mfile]
+        code, lines = invoke(capsys, ["--probe-budget", "1", "--box-schedule", "8"] + argv)
+        assert code == EXIT_OK
+        assert len(lines[0]["embedding"]) == 3
+        code, lines = invoke(capsys, ["--probe-budget", "1", "--box-schedule", "1"] + argv)
+        assert code == EXIT_BUDGET
+        assert lines == []
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == EXIT_USAGE
@@ -297,9 +329,12 @@ class TestUsageErrors:
               "--f2", "[0]"], None),
             (["amalgamate", "--a", "S", "--b1", "S", "--b2", "BAD", "--f1", "[0]",
               "--f2", "[0]"], {"k": 2, "n": 1, "orders": [[0, 1], 5]}),
+            (["refute", "--orders", "BAD"],
+             [{"rank": 1, "forms": [[{"basis": [], "terms": [
+                 {"radicand": 1, "num": 1, "den": 0}]}]]}]),
         ],
         ids=["orders", "verify-orders", "multiorder", "constraints", "structure",
-             "pattern-structure", "a", "b1", "b2"],
+             "pattern-structure", "a", "b1", "b2", "den-zero"],
     )
     def test_malformed_input_is_usage_error(
         self, capsys, tmp_path, m2_file, cons_file, argv, bad

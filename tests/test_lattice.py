@@ -36,6 +36,18 @@ class TestKernel:
             if 6 * z[0] + 10 * z[1] + 15 * z[2] == 0:
                 assert in_lattice(basis, z)
 
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            ([[6, 10, 15]], [(-5, 3, 0), (-30, 15, 2)]),
+            ([[3, -1, 2, 5], [1, 1, 1, 1]], [(3, 1, -4, 0), (9, 4, -14, 1)]),
+            # zero leading entries: the elimination swaps rows
+            ([[0, 0, 2, -3]], [(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, -3, -2)]),
+        ],
+    )
+    def test_pinned_bases(self, rows, want):
+        assert int_kernel(rows) == want
+
     def test_kernel_members_annihilate(self):
         rows = [[3, -1, 2, 5], [1, 1, 1, 1]]
         for b in int_kernel(rows):

@@ -1,8 +1,16 @@
+import hashlib
+import json
+
 import pytest
 
-from multiorder.field import RadicalBasis, fs_det, fs_det_elimination, fs_dot
+from multiorder.field import (
+    RadicalBasis,
+    fs_cofactors,
+    fs_det,
+    fs_det_elimination,
+    fs_dot,
+)
 from multiorder.matrix import (
-    BuildRetryExhaustedError,
     OrderMatrix,
     build,
     verify,
@@ -10,6 +18,7 @@ from multiorder.matrix import (
 from multiorder.orders import LinearForm
 
 B = RadicalBasis((2,))
+B235 = RadicalBasis((2, 3, 5))
 
 
 class TestSqrt2Instance:
@@ -65,14 +74,23 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(1, 0)
 
-    def test_retry_budget_error_type(self):
-        with pytest.raises(BuildRetryExhaustedError):
-            build(3, 0, max_attempts=0)
-
     def test_deterministic_in_seed(self):
         a1 = build(3, 5)
         a2 = build(3, 5)
         assert [r.coeffs for r in a1.rows] == [r.coeffs for r in a2.rows]
+
+    @pytest.mark.parametrize(
+        "m, digest",
+        [
+            (3, "c401d0cbf100e8b6efe7501c76584b50d867c61be7b12479d81fad1f73146361"),
+            (4, "fea8c807232eb346cdd6eb9bca643281de9fcca4e5fd61f79a1bff0fd8d59dd5"),
+            (5, "02d44b5e11664d72c07d83dc6d40d028f29d724648d45d7350154c0fd3de9876"),
+        ],
+        ids=["m3", "m4", "m5"],
+    )
+    def test_golden_matrix(self, m, digest):
+        text = json.dumps(build(m, 0).to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_json_roundtrip(self):
         A = build(3, 0)
@@ -87,3 +105,26 @@ class TestDeterminantRoutes:
         A = build(m, seed)
         rows = [r.coeffs for r in A.rows]
         assert fs_det(rows) == fs_det_elimination(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [r.coeffs for r in build(2, 0).rows[:-1]],
+            [r.coeffs for r in build(3, 0).rows[:-1]],
+            [r.coeffs for r in build(3, 4).rows[:-1]],
+            [
+                (B235.one, B235.sqrt(2), B235.sqrt(3), B235.sqrt(5)),
+                (B235.sqrt(3), B235.one, B235.sqrt(5), B235.sqrt(2)),
+                (B235.sqrt(5), B235.sqrt(2), B235.one, B235.sqrt(6)),
+            ],
+        ],
+        ids=["m2", "m3", "m3-seed4", "m4"],
+    )
+    def test_cofactors_expand_the_determinant(self, rows):
+        cof = fs_cofactors(rows)
+        for r in rows:
+            assert fs_dot(r, cof).is_zero()
+        b = rows[0][0].basis
+        v = tuple(b.sqrt(b.primes[-1]) + j for j in range(len(cof)))
+        assert fs_dot(v, cof) == fs_det_elimination([v] + rows)
+        assert not fs_dot(v, cof).is_zero()

@@ -1,9 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from multiorder.field import RadicalBasis
+from multiorder.field import RadicalBasis, fs_det_elimination
 from multiorder.genericity import IntervalConstraint
 from multiorder.lattice import same_lattice
 from multiorder.orders import LinearForm, OrderSpec
@@ -13,6 +15,7 @@ from multiorder.refuter import (
     TAG_RATIONAL_KERNEL,
     TAG_SMALL_VOLUME,
     Certificate,
+    _inverse_intervals,
     MalformedCertificateError,
     NoCertificateFound,
     kernel_lattice,
@@ -161,6 +164,21 @@ class TestDispatch:
         assert cert.evidence["k"] == 2
         assert verify_certificate(orders, cert)
 
+    def test_pinned_rational_kernel_certificate(self):
+        # rational leading form with a rank-2 kernel; the inner certificate
+        # is SmallVolume, so the pin covers the inverse enclosure as well
+        o0 = OrderSpec(
+            3, (LinearForm((ONE, B.rational(2), B.rational(3))), LinearForm((ONE, S2, S3)))
+        )
+        orders = [o0, dense((ONE, S2, S5)), dense((S3, ONE, S2))]
+        cert = refute(orders)
+        assert cert.evidence["inner"].lemma_tag == TAG_SMALL_VOLUME
+        text = json.dumps(certificate_to_json(cert), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7750b9d70eb165ab793f03e4dafea0160c5e8d86f2cac85349d82e97784c7b05"
+        )
+        assert verify_certificate(orders, cert, scan_box=20)
+
     def test_no_certificate_for_single_dense_order(self):
         with pytest.raises(NoCertificateFound):
             refute([dense((ONE, S2))])
@@ -242,3 +260,33 @@ class TestVerification:
             assert back.lemma_tag == cert.lemma_tag
             assert back.constraints == cert.constraints
             assert verify_certificate(orders, back)
+
+
+class TestInverseIntervals:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(S3,)],
+            [(ONE, S2), (S3, ONE)],
+            [(-ONE, S2), (S5, B.rational(3))],
+            [(ONE, S2, S5), (S3, ONE, S2), (S2 + S3, B.rational(-2), ONE)],
+        ],
+        ids=["n1", "n2", "n2-negative-det", "n3"],
+    )
+    def test_encloses_exact_inverse(self, rows):
+        # Cramer's rule with the elimination determinant as the oracle:
+        # entry (t, i) of the inverse is det(rows with column t set to e_i) / det.
+        n = len(rows)
+        det = fs_det_elimination(rows)
+        enclosure = _inverse_intervals(rows, det)
+        for t in range(n):
+            for i in range(n):
+                replaced = [
+                    tuple((ONE if r == i else B.zero) if c == t else rows[r][c]
+                          for c in range(n))
+                    for r in range(n)
+                ]
+                exact = fs_det_elimination(replaced) / det
+                lo, hi = enclosure[t][i]
+                assert lo <= hi
+                assert (exact - lo).sign() >= 0 and (hi - exact).sign() >= 0
