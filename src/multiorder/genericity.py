@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .lattice import IntVec, first_in_box
+from .lattice import IntVec, filter_margin, first_in_box, gamma
 from .matrix import OrderMatrix
 from .orders import Cmp, LinearForm, OrderSpec
 
@@ -160,26 +160,36 @@ def satisfies(M: MultiOrder, cons: IntervalConstraint, z: IntVec) -> bool:
 
 def _float_windows(
     M: MultiOrder, cons: IntervalConstraint
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leading-form float matrix and outer value windows (-inf/+inf open)."""
-    C = np.array([o.leading.floats() for o in M.orders], dtype=float)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Leading-form float matrix C, outer value windows (-inf/+inf open),
+    the weights W of the filter bound (lattice.filter_margin) for C's rows,
+    and per row the bound for the windows' finite endpoints."""
+    forms = [o.leading for o in M.orders]
+    C = np.array([f.floats() for f in forms], dtype=float)
+    W = np.array([f.float_errors() for f in forms]) + gamma(M.rank + 1) * np.abs(C)
     lo = np.full(M.n, -np.inf)
     hi = np.full(M.n, np.inf)
+    ends = np.zeros(M.n)
     for i, (l, h) in enumerate(cons.bounds):
         if l is not None:
             lo[i] = float(np.dot(C[i], l))
         if h is not None:
             hi[i] = float(np.dot(C[i], h))
-    return C, lo, hi
+        for e in (l, h):
+            if e is not None:
+                ends[i] = max(ends[i], filter_margin(W[i], e))
+    return C, lo, hi, W, ends
 
 
 def first_satisfying(
     M: MultiOrder, cons: IntervalConstraint, box: int
 ) -> IntVec | None:
     """First point of [-box, box]^m in (max-norm, lex) order satisfying all
-    constraints, or None: the float windows prefilter, satisfies decides."""
-    C, lo, hi = _float_windows(M, cons)
-    return first_in_box(C, lo, hi, box, lambda z: satisfies(M, cons, z))
+    constraints, or None: the certified float filter drops only points
+    certainly outside a window, satisfies decides."""
+    C, lo, hi, W, ends = _float_windows(M, cons)
+    slack = filter_margin(W, [box] * M.rank) + ends
+    return first_in_box(C, lo, hi, slack, box, lambda z: satisfies(M, cons, z))
 
 
 def witness_brute(
@@ -218,7 +228,7 @@ def find_witness(
     if all(lo is None and hi is None for lo, hi in cons.bounds):
         return WitnessResult((0,) * m, 0, "line")
 
-    C, lo, hi = _float_windows(M, cons)
+    C, lo, hi, W, ends = _float_windows(M, cons)
     # Synthesize unit-width windows on semi-infinite sides for the anchor.
     alo, ahi = lo.copy(), hi.copy()
     for i in range(M.n):
@@ -239,17 +249,17 @@ def find_witness(
     except np.linalg.LinAlgError:  # pragma: no cover - matrix is invertible
         p0 = np.linalg.lstsq(square, rhs, rcond=None)[0]
 
-    cmax = float(np.abs(C).max())
     chunk = 8192
     probes = 0
     while probes < probe_budget:
         count = min(chunk, probe_budget - probes)
         ts = _t_schedule(probes, count)
         Z = np.rint(p0[None, :] + ts[:, None] * d[None, :])
+        # A probe is dropped only when it is certainly outside a window: its
+        # value differs from an endpoint's by more than both error bounds.
         V = Z @ C.T
-        scale = 1.0 + np.abs(Z).max(axis=1)
-        margin = (1e-6 * (1.0 + cmax) * m) * scale[:, None]
-        mask = np.all((V > lo - margin) & (V < hi + margin), axis=1)
+        S = filter_margin(W, Z) + ends
+        mask = np.all((V - lo >= -S) & (V - hi <= S), axis=1)
         for idx in np.flatnonzero(mask):
             z = tuple(int(v) for v in Z[idx])
             if satisfies(M, cons, z):

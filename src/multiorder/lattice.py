@@ -139,6 +139,51 @@ def shell_blocks(m: int, s: int) -> Iterator[np.ndarray]:
     yield np.array(list(_iter_shell(m, s)), dtype=np.int64).reshape(-1, m)
 
 
+# -- the certified float filter -----------------------------------------------
+
+UNIT_ROUNDOFF = 2.0**-53
+# 1 + 2^-30 outweighs 2^20 further roundings of non-negative terms, each by
+# a relative UNIT_ROUNDOFF at most; no margin takes more than a handful.
+_MARGIN_ROUNDING = 1.0 + 2.0**-30
+
+
+def gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) for the unit roundoff u = 2^-53."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def filter_margin(W: np.ndarray, X) -> np.ndarray:
+    """The error bound sum_j W[i, j] |X[j]| of every float filter, rounded up.
+
+    W holds one row of weights per form, X one integer vector (or a stack
+    of them, or the corner (b, ..., b) of a box).  Take a form with exact
+    coefficients c_j, floats c'_j = LinearForm.floats() and proven e_j >=
+    |c_j - c'_j| (LinearForm.float_errors), and an integer vector x of
+    length m.  Converting x to floats rounds x_j by a relative u = 2^-53 at
+    most, and only when |x_j| > 2^53.  The float dot product V = fl(c' . x)
+    puts each term through that conversion, one product and at most m - 1
+    additions, so in any summation order (numpy, BLAS)
+
+        |c . x - V| <= sum_j e_j |x_j| + |c' . x - V|
+                    <= sum_j (e_j + gamma_{m+1} |c'_j|) |x_j| = E(x)
+
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 3.1).  So
+    genericity builds the weights w_j = e_j + gamma_{m+1} |c'_j|.  A float
+    held probe needs no conversion, which leaves its bound with room to
+    spare.  A product with a subnormal c'_j errs by up to 2^-1075, which
+    e_j includes; an overflow makes numpy warn.  Computing the bound rounds it down by a
+    relative u per operation, and so does every later sum, quotient or
+    comparison of margins; the factor 1 + 2^-30 outweighs them all.
+
+    A filter drops x only when fl(V - L) < -(E(x) + E(l)) for the float
+    value L of a lower end l (and alike for an upper end).  That proves
+    c . x < c . l, so x is certainly outside the window: a true witness is
+    never dropped.  Open sides are -inf/+inf and margins are finite, so no
+    inf - inf and no NaN ever arises.
+    """
+    return (np.abs(np.asarray(X, dtype=float)) @ W.T) * _MARGIN_ROUNDING
+
+
 # -- the box-scan kernel ------------------------------------------------------
 
 _PREFIX_CHUNK = 1 << 15
@@ -148,35 +193,39 @@ def first_in_box(
     C: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
+    slack: np.ndarray,
     box: int,
     accept: Callable[[IntVec], bool],
 ) -> IntVec | None:
     """First z of [-box, box]^m in (max-norm, lex) order with accept(z), or None.
 
     C is an n x m float matrix; lo and hi hold n float windows, -inf/+inf
-    for an open side.  Every z with lo - margin <= C z <= hi + margin is a
-    candidate and goes to the exact predicate accept, in order.  The filter
-    is affine in the last coordinate t, so each line z = (p, t) admits one
+    for an open side, and slack n margins (filter_margin).  Every z whose
+    exact value C z, taken over the floats in C, lies in [lo - slack, hi +
+    slack] is a candidate and goes to the exact predicate accept, in order;
+    the kernel's own rounding only ever adds candidates.  The filter is
+    affine in the last coordinate t, so each line z = (p, t) admits one
     interval of t.  The prefix radius doubles up to box, so a point near
     the origin costs little in a large box.
     """
-    return next(filter(accept, _candidates(C, lo, hi, box)), None)
+    return next(filter(accept, _candidates(C, lo, hi, slack, box)), None)
 
 
 def _candidates(
-    C: np.ndarray, lo: np.ndarray, hi: np.ndarray, box: int
+    C: np.ndarray, lo: np.ndarray, hi: np.ndarray, slack: np.ndarray, box: int
 ) -> Iterator[IntVec]:
     """The points first_in_box hands to accept, in order."""
-    margin = 1e-6 * (1.0 + box) * (1.0 + float(np.abs(C).max())) * C.shape[1]
-    lo, hi = lo - margin, hi + margin
     reaches = [box]
     while reaches[-1] > 8:
         reaches.append((reaches[-1] + 1) // 2)
     start = 0
+    m = C.shape[1]
     for reach in reversed(reaches):
-        total = (2 * reach + 1) ** (C.shape[1] - 1)
+        # The prefix dot product p . C[:, :-1] is off by gamma_{m-1} |C| |p|.
+        err = slack + filter_margin(gamma(m - 1) * np.abs(C[:, :-1]), [reach] * (m - 1))
+        total = (2 * reach + 1) ** (m - 1)
         parts = [
-            _lines(C, lo, hi, reach, k, min(k + _PREFIX_CHUNK, total))
+            _lines(C, lo, hi, err, reach, k, min(k + _PREFIX_CHUNK, total))
             for k in range(0, total, _PREFIX_CHUNK)
         ]
         P, a, b = (np.concatenate(x) for x in zip(*parts))
@@ -197,30 +246,45 @@ def _candidates(
 
 
 def _lines(
-    C: np.ndarray, lo: np.ndarray, hi: np.ndarray, reach: int, first: int, stop: int
+    C: np.ndarray, lo: np.ndarray, hi: np.ndarray, err: np.ndarray,
+    reach: int, first: int, stop: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The prefixes first..stop-1 of [-reach, reach]^(m-1) in lex order that
-    admit a t in [-reach, reach] with lo <= C (p, t) <= hi, and the bounds
-    of those t."""
+    admit a t in [-reach, reach] with lo - slack <= C (p, t) <= hi + slack,
+    and the bounds of those t.  err is slack plus the error of the prefix
+    values v = fl(p . C[:, :-1]).
+
+    For c = C[i, -1] > 0, t >= (lo_i - slack_i - p . C[i, :-1]) / c (the
+    upper side and c < 0 are alike).  The subtraction and the division
+    round by a relative u = 2^-53 each, so x = fl(fl(lo_i - v) / c) is
+    within (err_i - slack_i) / c + 3 u |x| of the exact quotient.  Only
+    |x| <= reach + 1 matters, so lowering x by err_i / c + 8 u (reach + 1)
+    stays below the exact bound, the spare ulps covering the rounding of
+    the lowering itself.  A form with c = 0 filters the prefix through the
+    same bounds, with 1 in place of c.
+    """
     P = np.empty((stop - first, C.shape[1] - 1))
     rest = np.arange(first, stop)
     for j in reversed(range(P.shape[1])):
         rest, P[:, j] = np.divmod(rest, 2 * reach + 1)
     P -= reach
     t_lo, t_hi = np.full(len(P), -reach, float), np.full(len(P), reach, float)
-    for c, l, h in zip(C, lo, hi):
-        u = P @ c[:-1]
-        below, above = l - u, h - u
-        if c[-1] == 0:  # the form filters the prefix, not t
-            t_lo[(below > 0) | (above < 0)] = reach + 1
-            continue
-        if c[-1] < 0:
-            below, above = above, below
-        t_lo = np.maximum(t_lo, below / c[-1])
-        t_hi = np.minimum(t_hi, above / c[-1])
-    # Outward by a relative 1e-9 for the division (the margin covers the
-    # forms); x -> x -+ eps |x| is monotone, so rounding the max rounds all.
-    a = np.ceil(t_lo - 1e-9 * np.abs(t_lo))
-    b = np.floor(t_hi + 1e-9 * np.abs(t_hi))
+    edge = reach + 1.0
+    with np.errstate(over="ignore"):  # a quotient that overflows is clipped
+        for c, l, h, e in zip(C, lo, hi, err):
+            v = P @ c[:-1]
+            below, above = (v - h, v - l) if c[-1] < 0 else (l - v, h - v)
+            scale = abs(c[-1]) or 1.0
+            # Bounds beyond the edge reach + 1 decide the same when clipped
+            # to it, which leaves no inf to meet another in an inf - inf.
+            wide = e / scale + 8 * UNIT_ROUNDOFF * edge
+            below = np.minimum(below / scale, edge) - wide
+            above = np.maximum(above / scale, -edge) + wide
+            if c[-1] == 0:  # the form filters the prefix, not t
+                t_lo[(below > 0) | (above < 0)] = reach + 1
+                continue
+            t_lo = np.maximum(t_lo, below)
+            t_hi = np.minimum(t_hi, above)
+    a, b = np.ceil(t_lo), np.floor(t_hi)
     keep = a <= b
     return P[keep], a[keep], b[keep]

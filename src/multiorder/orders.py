@@ -7,6 +7,7 @@ leading form (the non-archimedean case).  All notation is additive.
 
 from __future__ import annotations
 
+import math
 import random
 from enum import IntEnum
 from fractions import Fraction
@@ -52,7 +53,7 @@ class BoundExhaustedError(RuntimeError):
 class LinearForm:
     """A nonzero vector of field scalars, paired with lattice vectors by dot."""
 
-    __slots__ = ("coeffs", "_floats")
+    __slots__ = ("coeffs", "_floats", "_errors")
 
     def __init__(self, coeffs: tuple[FieldScalar, ...]):
         coeffs = tuple(coeffs)
@@ -66,6 +67,7 @@ class LinearForm:
             raise ValueError("zero linear form")
         self.coeffs = coeffs
         self._floats: tuple[float, ...] | None = None
+        self._errors: tuple[float, ...] | None = None
 
     @property
     def basis(self) -> RadicalBasis:
@@ -87,6 +89,25 @@ class LinearForm:
         if self._floats is None:
             self._floats = tuple(c.to_float() for c in self.coeffs)
         return self._floats
+
+    def float_errors(self) -> tuple[float, ...]:
+        """Proven bounds e_j >= |c_j - floats()[j]| + 2^-1075, read off the
+        64-bit enclosure of c_j: the nearest float to that distance, one ulp
+        up.  The 2^-1075 covers a product with a subnormal coefficient
+        (lattice.filter_margin)."""
+        if self._errors is None:
+            errors = []
+            for c, f in zip(self.coeffs, self.floats()):
+                lo, hi = c.interval(64)
+                n, d = f.as_integer_ratio()
+                # Each int / int is the nearest float to the exact quotient.
+                e = max(
+                    (hi.numerator * d - n * hi.denominator) / (hi.denominator * d),
+                    (n * lo.denominator - lo.numerator * d) / (lo.denominator * d),
+                )
+                errors.append(math.nextafter(e, math.inf))
+            self._errors = tuple(errors)
+        return self._errors
 
     def negate(self) -> LinearForm:
         return LinearForm(tuple(-c for c in self.coeffs))

@@ -12,7 +12,7 @@ from multiorder.cli import (
     run,
 )
 from multiorder.finite import FiniteNOrder, from_pattern
-from multiorder.genericity import IntervalConstraint, MultiOrder, from_matrix
+from multiorder.genericity import IntervalConstraint, MultiOrder, from_matrix, satisfies
 from multiorder.matrix import build
 from multiorder.orders import LinearForm, OrderSpec
 from multiorder.field import PrecisionExceededError, RadicalBasis
@@ -140,6 +140,43 @@ class TestWitness:
         )
         assert code == EXIT_NOT_FOUND
         assert lines[0]["witness"] is None
+
+    # Endpoints beyond 2^53 are rounded when the windows are formed in
+    # floats; the filter's error bound must cover that rounding, so these
+    # witnesses, probe counts included, stay exactly as pinned.
+    @pytest.mark.parametrize(
+        "options, constraints, want, probes",
+        [
+            (
+                [],
+                [{"lower": [10**20, 0, 0], "upper": "+inf"},
+                 {"lower": "-inf", "upper": [10**20 + 5, 1, 0]}],
+                [98870961813840379904, -7855284390155188224, 7065663347481272320],
+                50819,
+            ),
+            (
+                ["--probe-budget", "100000"],
+                [{"lower": [2**60 + 1, 0, 0], "upper": [2**60 + 101, 0, 0]},
+                 {"lower": "-inf", "upper": "+inf"}],
+                [3211602133424513536, -882545206829054720, -467984671333271808],
+                98,
+            ),
+        ],
+    )
+    def test_huge_coordinates_pinned(
+        self, capsys, tmp_path, options, constraints, want, probes
+    ):
+        mfile = write_json(tmp_path, "m3.json", from_matrix(build(3, 0)).to_json())
+        cons = write_json(tmp_path, "cons.json", constraints)
+        code, lines = invoke(
+            capsys,
+            options + ["witness", "--multiorder", mfile, "--constraints", cons],
+        )
+        assert code == EXIT_OK
+        assert lines[0]["witness"] == want
+        assert (lines[0]["probes"], lines[0]["backend"]) == (probes, "line")
+        M = from_matrix(build(3, 0))
+        assert satisfies(M, IntervalConstraint.from_json(constraints), tuple(want))
 
 
 class TestRefuteVerify:

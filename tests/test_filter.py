@@ -1,0 +1,177 @@
+"""The certified float filter: its error bound holds, and near-ties go exact."""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multiorder.field import RadicalBasis
+from multiorder.genericity import (
+    IntervalConstraint,
+    find_witness,
+    first_satisfying,
+    from_matrix,
+    satisfies,
+)
+from multiorder.lattice import filter_margin, gamma, iter_box
+from multiorder.matrix import build
+from multiorder.orders import LinearForm
+
+
+@lru_cache(maxsize=None)
+def host(m, seed=0):
+    return from_matrix(build(m, seed))
+
+
+@lru_cache(maxsize=None)
+def built_forms():
+    """Every row of build(m, s): the order forms and the direction."""
+    out = []
+    for m, seed in [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1), (5, 0)]:
+        M = host(m, seed)
+        out += [o.leading for o in M.orders] + [M.direction]
+    return out
+
+
+RV = RadicalBasis((2, 3, 5, 7))
+RADICANDS = (1, 2, 3, 5, 7, 6, 10, 14, 15, 21, 35)
+ratio = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def drawn_forms(draw):
+    """Rows like the refuter's inputs: rational and radical coefficients,
+    some with several terms, some zero."""
+    m = draw(st.integers(1, 5))
+    radicands = st.sets(st.sampled_from(RADICANDS), max_size=3)
+    coeffs = [RV.scalar({d: draw(ratio) for d in draw(radicands)}) for _ in range(m)]
+    if all(c.is_zero() for c in coeffs):
+        coeffs[0] = RV.sqrt(2)
+    return LinearForm(tuple(coeffs))
+
+
+forms = st.deferred(lambda: st.sampled_from(built_forms())) | drawn_forms()
+# Up to 2^60 as the walk's probes reach, and beyond int64 for endpoints.
+coordinate = (
+    st.integers(-(2**20), 2**20)
+    | st.integers(-(2**60), 2**60)
+    | st.integers(-(2**70), 2**70)
+)
+
+
+def weights(f):
+    C = np.array([f.floats()])
+    return C, np.array([f.float_errors()]) + gamma(f.rank + 1) * np.abs(C)
+
+
+def within(f, z, value, margin):
+    """Exactly |f(z) - value| <= margin."""
+    diff = f.value(z) - Fraction(value)
+    return (diff - Fraction(margin)).sign() <= 0 <= (diff + Fraction(margin)).sign()
+
+
+class TestErrorBound:
+    @settings(max_examples=300, deadline=None)
+    @given(forms, st.data())
+    def test_endpoint_value_within_bound(self, f, data):
+        # An endpoint: Python ints, rounded to floats inside np.dot.
+        z = tuple(data.draw(st.lists(coordinate, min_size=f.rank, max_size=f.rank)))
+        C, W = weights(f)
+        assert within(f, z, float(np.dot(C[0], z)), filter_margin(W[0], z))
+
+    @settings(max_examples=300, deadline=None)
+    @given(forms, st.data())
+    def test_probe_value_within_bound(self, f, data):
+        # A probe: a float row, its integer point read back from the floats.
+        z = data.draw(st.lists(coordinate, min_size=f.rank, max_size=f.rank))
+        Z = np.array([z], dtype=float)
+        C, W = weights(f)
+        point = tuple(int(x) for x in Z[0])
+        assert within(f, point, (Z @ C.T)[0, 0], filter_margin(W, Z)[0, 0])
+
+    def test_errors_are_proven_and_small(self):
+        for f in built_forms():
+            for c, x, e in zip(f.coeffs, f.floats(), f.float_errors()):
+                size = sum(abs(float(q)) * d**0.5 for d, q in c.terms.items())
+                assert 0 < e <= 1e-15 * max(1.0, size)
+                assert within(LinearForm((c,)), (1,), x, e)
+
+
+# -- adversarial near-ties ------------------------------------------------------
+
+
+def near_tie(f, k):
+    """An integer v with 0 < f(v) < 1e-9, from a continued-fraction
+    convergent p/q of c_k / c_0: v = q e_k - p e_0, up to sign."""
+    lo0, hi0 = f.coeffs[0].interval(256)
+    lok, hik = f.coeffs[k].interval(256)
+    r = ((lok + hik) / 2) / ((lo0 + hi0) / 2)
+    p0, q0, p1, q1 = 1, 0, int(r // 1), 1
+    x = r - p1
+    while q1 < 10**9:
+        x = 1 / x
+        a = int(x // 1)
+        x -= a
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+    v = [0] * f.rank
+    v[0], v[k] = -p1, q1
+    s = f.value(tuple(v)).sign()
+    v = tuple(s * x for x in v)
+    assert f.value(v).sign() == 1 and (f.value(v) - Fraction(1, 10**9)).sign() == -1
+    return v
+
+
+def plus(a, b, k=1):
+    return tuple(x + k * y for x, y in zip(a, b))
+
+
+def windows(M, i, z0, v):
+    """Windows of order i that pass within f(v) of z0; other orders open."""
+    free = [(None, None)] * M.n
+    cases = [
+        (plus(z0, v, -1), None),     # z0 inside by f(v)
+        (plus(z0, v), None),         # z0 outside by f(v)
+        (None, plus(z0, v)),         # inside
+        (None, plus(z0, v, -1)),     # outside
+        (plus(z0, v, -1), plus(z0, v)),      # z0 the only point nearby
+        (plus(z0, v), plus(z0, v, 3)),       # no point nearby
+    ]
+    for bounds in cases:
+        yield IntervalConstraint(tuple(free[:i] + [bounds] + free[i + 1:]))
+
+
+NEAR_TIE_CASES = [
+    (m, i, k, z0)
+    for m, box in ((2, 4), (3, 3), (4, 2))
+    for i in range(m - 1)
+    for k in sorted({1, m - 1})
+    for z0 in [(0,) * m, (1,) + (-1,) * (m - 1), (box,) * m]
+]
+
+
+class TestNearTies:
+    @pytest.mark.parametrize("m, i, k, z0", NEAR_TIE_CASES)
+    def test_kernel_matches_per_point_scan(self, m, i, k, z0):
+        M = host(m)
+        box = {2: 4, 3: 3, 4: 2}[m]
+        v = near_tie(M.orders[i].leading, k)
+        for n, cons in enumerate(windows(M, i, z0, v)):
+            ref = next((z for z in iter_box(m, box) if satisfies(M, cons, z)), None)
+            assert first_satisfying(M, cons, box) == ref
+            if n == 4:  # a window of width 2 f(v): z0 and no other point
+                assert ref == z0
+
+    @pytest.mark.parametrize("m, i, k, z0", NEAR_TIE_CASES[::3])
+    def test_line_walk_point_satisfies(self, m, i, k, z0):
+        M = host(m)
+        v = near_tie(M.orders[i].leading, k)
+        for n, cons in enumerate(windows(M, i, z0, v)):
+            if n == 5:  # empty near z0; the walk would need ~1e9 probes
+                continue
+            res = find_witness(M, cons, probe_budget=2000, box_schedule=(8,))
+            assert satisfies(M, cons, res.point)
+            if n == 4:  # the walk's first probe is z0, right at both ends
+                assert (res.point, res.probes, res.backend) == (z0, 1, "line")

@@ -228,3 +228,73 @@ class TestBoxScanOracle:
         M, cons, box = case
         ref = next((z for z in iter_box(M.rank, box) if satisfies(M, cons, z)), None)
         assert first_satisfying(M, cons, box) == ref
+
+
+# -- golden witnesses: the float filter may not move any of them --------------
+
+# Narrow windows far from the origin (max-norm about 1e5), each holding a
+# point planted near the direction line: the windows, the witness and the
+# probe count of the line walk.
+GOLDEN_WITNESSES = [
+    (3, [[[86320, -99885, -97512], [86286, -99883, -97494]], [[86259, -99907, -97464], [86226, -99923, -97438]]],
+     [86289, -99879, -97499], 328),
+    (3, [[[-100036, 58104, 49235], [-100025, 58095, 49236]], [[-100008, 58155, 49183], [-100028, 58132, 49210]]],
+     [-100040, 58135, 49212], 753),
+    (3, [[[-100004, 57539, 48197], [-100006, 57500, 48230]], [[-100027, 57475, 48262], [-100059, 57455, 48291]]],
+     [-100020, 57505, 48234], 379),
+    (3, [[[54972, 82051, 100009], [54956, 82017, 100046]], [[54969, 82017, 100033], [54937, 81997, 100062]]],
+     [55000, 82041, 100001], 5),
+    (4, [[[-99898, -14969, 21196, -66513], [-99897, -14970, 21204, -66519]], [[-99893, -14979, 21198, -66511], [-99891, -14972, 21194, -66513]], [[-99898, -14970, 21191, -66511], [-99905, -14974, 21192, -66507]]],
+     [-99890, -14975, 21195, -66512], 434),
+    (4, [[[99954, -25094, -69564, 23496], [99950, -25091, -69568, 23499]], [[99968, -25086, -69559, 23481], [99969, -25091, -69564, 23489]], [[99961, -25082, -69563, 23483], [99961, -25084, -69560, 23482]]],
+     [99962, -25087, -69564, 23488], 149),
+    (4, [[[-36656, 91453, 100094, 66094], [-36648, 91457, 100090, 66091]], [[-36652, 91457, 100094, 66089], [-36649, 91461, 100091, 66088]], [[-36647, 91459, 100089, 66091], [-36641, 91464, 100084, 66090]]],
+     [-36654, 91457, 100087, 66096], 464),
+    (4, [[[70905, -47062, 100028, 82514], [70899, -47063, 100031, 82515]], [[70906, -47060, 100035, 82506], [70904, -47060, 100028, 82513]], [[70909, -47054, 100034, 82501], [70907, -47057, 100034, 82504]]],
+     [70910, -47059, 100033, 82506], 176),
+    (5, [[[34875, -100027, 37514, -58110, 93420], [34878, -100030, 37517, -58107, 93416]], [[34877, -100024, 37513, -58113, 93421], [34881, -100023, 37512, -58116, 93423]], [[34875, -100022, 37513, -58111, 93418], [34879, -100023, 37511, -58110, 93419]], [[34879, -100022, 37514, -58114, 93419], [34882, -100025, 37511, -58113, 93423]]],
+     [34879, -100025, 37517, -58113, 93418], 238),
+    (5, [[[22742, 19789, 17396, -45708, 99989], [22746, 19786, 17397, -45711, 99991]], [[22743, 19784, 17398, -45706, 99989], [22744, 19781, 17397, -45704, 99990]], [[22742, 19788, 17398, -45707, 99987], [22739, 19789, 17399, -45705, 99984]], [[22741, 19791, 17392, -45705, 99988], [22738, 19789, 17389, -45703, 99991]]],
+     [22739, 19787, 17394, -45705, 99990], 47),
+    (5, [[[-25811, 89659, -61184, -99959, 6119], [-25807, 89657, -61181, -99963, 6120]], [[-25812, 89660, -61176, -99964, 6117], [-25810, 89664, -61178, -99967, 6118]], [[-25808, 89658, -61180, -99965, 6122], [-25808, 89662, -61178, -99966, 6118]], [[-25812, 89659, -61180, -99963, 6120], [-25815, 89656, -61180, -99964, 6124]]],
+     [-25812, 89658, -61180, -99961, 6119], 252),
+    (5, [[[14884, -100009, 2277, 25782, -41763], [14881, -100011, 2273, 25783, -41759]], [[14877, -100007, 2275, 25789, -41767], [14874, -100008, 2271, 25793, -41766]], [[14877, -100004, 2276, 25782, -41764], [14873, -100007, 2275, 25783, -41761]], [[14882, -100004, 2271, 25789, -41767], [14881, -100008, 2275, 25788, -41766]]],
+     [14880, -100006, 2273, 25785, -41763], 60),
+]
+
+# Narrow windows near the origin: m, box, the windows and the first point
+# of the box in (max-norm, lex) order inside them.
+GOLDEN_BRUTE = [
+    (3, 16, [[[-7, 8, 7], [-3, 4, 8]], [[0, 1, 9], [-2, -4, 14]]],
+     [-1, 5, 6]),
+    (3, 16, [[[2, -3, -9], [6, -7, -8]], [[1, -8, -4], [-1, -13, 1]]],
+     [0, -4, -7]),
+    (4, 8, [[[-4, -5, 4, 0], [-6, -3, 1, 2]], [[0, -4, 6, -4], [0, -4, 5, -3]], [[-1, -5, 6, -3], [0, -5, 8, -5]]],
+     [-2, -6, 5, -1]),
+    (4, 8, [[[2, -5, 6, -1], [1, -2, 3, 0]], [[0, -2, 4, 0], [-1, -3, 3, 2]], [[-2, -4, 5, 1], [-1, -1, 2, 1]]],
+     [-1, -4, 7, -1]),
+    (5, 5, [[[0, 6, 0, 7, -2], [-1, 4, 2, 5, 0]], [[0, 2, 2, 8, -2], [2, 3, 3, 7, -3]], [[-1, 2, 2, 6, 0], [-1, 2, 3, 4, 1]], [[0, 2, 1, 8, -1], [2, 3, 3, 6, -2]]],
+     [1, 5, 0, 5, 0]),
+    (5, 5, [[[-2, -2, 8, 3, -1], [0, 0, 7, 3, -2]], [[-3, 2, 4, 4, -1], [-2, 4, 2, 4, -1]], [[-4, 0, 6, 4, -1], [-6, -2, 6, 4, 1]], [[-4, 0, 5, 5, -1], [-5, 0, 3, 5, 1]]],
+     [-4, 1, 4, 4, 0]),
+]
+
+
+def _constraint(bounds):
+    return IntervalConstraint(tuple((tuple(lo), tuple(hi)) for lo, hi in bounds))
+
+
+@pytest.fixture(scope="module")
+def hosts():
+    return {m: from_matrix(build(m, 0)) for m in (3, 4, 5)}
+
+
+class TestGoldenWitnesses:
+    @pytest.mark.parametrize("m, bounds, point, probes", GOLDEN_WITNESSES)
+    def test_line_walk_pinned(self, hosts, m, bounds, point, probes):
+        res = find_witness(hosts[m], _constraint(bounds))
+        assert (list(res.point), res.probes, res.backend) == (point, probes, "line")
+
+    @pytest.mark.parametrize("m, box, bounds, point", GOLDEN_BRUTE)
+    def test_brute_pinned(self, hosts, m, box, bounds, point):
+        assert list(witness_brute(hosts[m], _constraint(bounds), box)) == point

@@ -1,4 +1,7 @@
 import itertools
+import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,11 +92,13 @@ class TestEnumeration:
 
 def integer_windows(C, lo, hi):
     """Float inputs for first_in_box and the exact predicate they stand for:
-    integer forms C and half-integer windows make the float filter exact."""
+    integer forms C and half-integer windows make the float filter exact,
+    so the slack is zero."""
     def accept(z):
         return all(l < sum(c * x for c, x in zip(row, z)) < h
                    for row, l, h in zip(C, lo, hi))
-    return np.array(C, dtype=float), np.array(lo, dtype=float), np.array(hi, dtype=float), accept
+    C = np.array(C, dtype=float)
+    return C, np.array(lo, dtype=float), np.array(hi, dtype=float), np.zeros(len(C)), accept
 
 
 class TestBoxScanKernel:
@@ -120,9 +125,9 @@ class TestBoxScanKernel:
         ],
     )
     def test_cases_match_iter_box(self, C, lo, hi, box, want):
-        C, lo, hi, accept = integer_windows(C, lo, hi)
+        C, lo, hi, slack, accept = integer_windows(C, lo, hi)
         seen = []
-        got = first_in_box(C, lo, hi, box, lambda z: seen.append(z) or accept(z))
+        got = first_in_box(C, lo, hi, slack, box, lambda z: seen.append(z) or accept(z))
         ref = next((z for z in iter_box(C.shape[1], box) if accept(z)), None)
         assert got == ref == want
         # The filter is exact here, so no candidate may fail the check.
@@ -130,7 +135,69 @@ class TestBoxScanKernel:
 
     def test_candidates_in_canonical_order(self):
         # x + 2y - t in {-1, 0, 1}: many lines, several points on each.
-        C, lo, hi, accept = integer_windows([[1, 2, -1]], [-1.5], [1.5])
+        C, lo, hi, slack, accept = integer_windows([[1, 2, -1]], [-1.5], [1.5])
         seen = []
-        assert first_in_box(C, lo, hi, 12, lambda z: seen.append(z) or False) is None
+        assert first_in_box(C, lo, hi, slack, 12, lambda z: seen.append(z) or False) is None
         assert seen == [z for z in iter_box(3, 12) if accept(z)]
+
+
+def _rounded(q, direction):
+    """The float next to the rational q on the given side (-inf or +inf)."""
+    f = float(q)
+    if (Fraction(f) - q) * direction < 0:
+        f = math.nextafter(f, direction)
+    return f
+
+
+def tight_windows(rng):
+    """Float forms and a point z of [-4, 4]^m with windows of one or two
+    ulps around the exact values C z, so the t-bounds of z's line lie a
+    few ulps from an integer.  Entries have full 53-bit mantissas, so the
+    kernel's products, differences and quotients round; some are zero."""
+    m, n = rng.randint(1, 4), rng.randint(1, 3)
+    C = [[rng.choice((0, rng.randint(-(2**53), 2**53))) * 2.0**-49 for _ in range(m)]
+         for _ in range(n)]
+    z = tuple(rng.randint(-4, 4) for _ in range(m))
+    exact = [sum(Fraction(c) * x for c, x in zip(row, z)) for row in C]
+    lo = [_rounded(v, -math.inf) for v in exact]
+    hi = [_rounded(v, math.inf) for v in exact]
+    return np.array(C), np.array(lo), np.array(hi), z
+
+
+# Cases of tight_windows where the computed t-bound of z's line lies one
+# ulp inside z's last coordinate: unwidened, the lower bound (first two) or
+# the upper bound (last two) drops z.
+ONE_ULP_CASES = [
+    ([[-15.295629145220872, 0.0, 1.9411336537111765], [-15.120614769593487, 0.0, 0.0],
+      [1.3064211551620435, -0.1434424923445654, -10.669675626117897]],
+     [-24.767857329308214, -30.241229539186975, -29.683069552718734],
+     [-24.767857329308214, -30.241229539186975, -29.683069552718734], (2, 2, 3)),
+    ([[10.972785664126222, 14.594692833388393], [-14.479277376173894, -5.801417363227584],
+      [0.7530446550114309, 7.173255565705942]],
+     [-54.75686416429141, 31.883529465856643, -22.272811352129256],
+     [-54.7568641642914, 31.883529465856647, -22.272811352129256], (-1, -3)),
+    ([[9.685625702528906, 9.829902113515063, -2.30039204199009, 3.121694585620636],
+      [-4.551079045821448, 0.0, 0.0, -8.230472679469685],
+      [-0.12055254469903964, 0.0, 0.0, 6.9824878394210455]],
+     [-53.78228377525018, -11.038180900944711, 21.309121152360255],
+     [-53.78228377525018, -11.038180900944711, 21.309121152360255], (-3, -3, 2, 3)),
+    ([[1.1199926202656751, -5.840361436007983], [0.0, 0.0]],
+     [20.881062168820975, 0.0], [20.881062168820975, 0.0], (3, -3)),
+]
+
+
+class TestKernelRounding:
+    @pytest.mark.parametrize("C, lo, hi, z", ONE_ULP_CASES)
+    def test_one_ulp_cases(self, C, lo, hi, z):
+        got = first_in_box(np.array(C), np.array(lo), np.array(hi), np.zeros(len(C)), 4,
+                           lambda p: p == z)
+        assert got == z
+
+    def test_point_on_window_ends_is_a_candidate(self):
+        # No slack: the kernel's own rounding of each line's t-interval
+        # must still keep a point whose exact value lies in the window.
+        rng = random.Random(0)
+        for _ in range(400):
+            C, lo, hi, z = tight_windows(rng)
+            got = first_in_box(C, lo, hi, np.zeros(len(C)), 4, lambda p: p == z)
+            assert got == z
