@@ -8,6 +8,7 @@ search or precision budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,6 @@ from .genericity import (
 from .matrix import build
 from .orders import OrderSpec
 from .refuter import (
-    DEFAULT_SEARCH_NORM,
     MalformedCertificateError,
     NoCertificateFound,
     SearchBudgetExhaustedError,
@@ -94,7 +94,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_refute(args: argparse.Namespace) -> int:
     orders = _load(args.orders, _orders)
     try:
-        cert = refute(orders, search_norm=args.search_norm)
+        cert = refute(orders)
     except NoCertificateFound:
         _emit({"certificate": None, "reason": "NoCertificateFound"})
         return EXIT_OK
@@ -164,7 +164,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of every run; it holds no per-call state, since the
+    defaults are module constants and the environment is read in run()."""
     parser = argparse.ArgumentParser(
         prog="multiorder",
         description="Right-invariant generic multiorders on Z^m: "
@@ -184,9 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="strictly increasing boxes of the brute-force fallback; it takes "
         "every number that follows, so another option must come before the "
         "subcommand, e.g. --box-schedule 16 32 --seed 0 witness ...",
-    )
-    parser.add_argument(
-        "--search-norm", type=_positive_int, default=DEFAULT_SEARCH_NORM
     )
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)

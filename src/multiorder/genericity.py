@@ -60,10 +60,6 @@ class MultiOrder:
     def n(self) -> int:
         return len(self.orders)
 
-    def drop(self, i: int) -> MultiOrder:
-        kept = tuple(o for j, o in enumerate(self.orders) if j != i)
-        return MultiOrder(self.rank, kept, self.direction)
-
     def to_json(self) -> dict:
         return {
             "rank": self.rank,

@@ -109,9 +109,6 @@ class LinearForm:
             self._errors = tuple(errors)
         return self._errors
 
-    def negate(self) -> LinearForm:
-        return LinearForm(tuple(-c for c in self.coeffs))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs
 
@@ -169,9 +166,6 @@ class OrderSpec:
             if s:
                 return Cmp.LESS if s < 0 else Cmp.GREATER
         return Cmp.EQUAL
-
-    def reverse(self) -> OrderSpec:
-        return OrderSpec(self.rank, tuple(f.negate() for f in self.forms))
 
     def cone_membership(self, g: IntVec) -> Cone:
         c = self.compare((0,) * self.rank, g)

@@ -27,8 +27,11 @@ from .genericity import IntervalConstraint, MultiOrder, first_satisfying, satisf
 from .lattice import IntVec, int_kernel, iter_box, same_lattice, vec_scale, vec_sub
 from .orders import Cmp, LinearForm, OrderSpec
 
-DEFAULT_SEARCH_NORM = 32
 DEFAULT_SCAN_BOX = 50
+# SmallVolume's search bounds: the box of its width vectors, and the box of
+# its cell shifts.
+WIDTH_BOX_CAP = 64
+MAX_SHIFT = 64
 
 TAG_DEPENDENT = "Dependent"
 TAG_RATIONAL_KERNEL = "RationalKernel"
@@ -53,6 +56,17 @@ class Certificate:
     constraints: IntervalConstraint
     lemma_tag: str
     evidence: dict
+
+
+# Each lemma's evidence fields and their kinds, the one schema the codec in
+# serialize.py reads: int, list, FieldScalar, Certificate, or a list of
+# FieldScalar or of integer vectors.
+EVIDENCE = {
+    TAG_DEPENDENT: {"k": int, "coeffs": [FieldScalar], "reversed": list},
+    TAG_RATIONAL_KERNEL: {"order": int, "kernel_basis": [tuple], "inner": Certificate},
+    TAG_SMALL_VOLUME: {"det": FieldScalar, "widths": [FieldScalar]},
+    TAG_DISCRETE_BASE: {"order": int, "pair": [tuple]},
+}
 
 
 def _common_rank(orders: list[OrderSpec]) -> int:
@@ -95,18 +109,16 @@ def _sanity_box(m: int, box: int) -> int:
 # -- small helpers -----------------------------------------------------------
 
 
-def _search_sign_vector(form: LinearForm, want: int, norm_cap: int) -> IntVec:
-    """First lattice vector whose leading-form value has the wanted sign."""
-    for v in iter_box(form.rank, norm_cap):
-        if form.value(v).sign() == want:
-            return v
-    raise SearchBudgetExhaustedError(
-        f"no vector of sign {want} within norm {norm_cap}"
-    )
+def _search_sign_vector(form: LinearForm, want: int) -> IntVec:
+    """First lattice vector whose form value has the wanted sign.  A form is
+    never zero, so +-e_j for some c_j != 0 gives each sign: the unit shell
+    always holds one."""
+    return next(v for v in iter_box(form.rank, 1) if form.value(v).sign() == want)
 
 
 def _min_positive_vector(form: LinearForm, box: int) -> tuple[IntVec, FieldScalar]:
-    """Lattice vector with the smallest positive form value in the box."""
+    """Lattice vector with the smallest positive form value in the box; a
+    nonzero form is positive somewhere on the unit shell."""
     best_v: IntVec | None = None
     best_val: FieldScalar | None = None
     for v in iter_box(form.rank, box):
@@ -115,8 +127,6 @@ def _min_positive_vector(form: LinearForm, box: int) -> tuple[IntVec, FieldScala
             continue
         if best_val is None or (val - best_val).sign() < 0:
             best_v, best_val = v, val
-    if best_v is None:
-        raise SearchBudgetExhaustedError("no positive vector in box")
     return best_v, best_val
 
 
@@ -136,10 +146,7 @@ def _refute_discrete_base(orders: list[OrderSpec]) -> Certificate:
 
 
 def refute_dependent(
-    orders: list[OrderSpec],
-    k: int,
-    coeffs: list[FieldScalar],
-    search_norm: int = DEFAULT_SEARCH_NORM,
+    orders: list[OrderSpec], k: int, coeffs: list[FieldScalar]
 ) -> Certificate:
     """Certificate from an exact field dependency c_k = sum a_j c_j (j < k).
 
@@ -154,10 +161,10 @@ def refute_dependent(
     for j, s in enumerate(signs):
         if s == 0:
             continue
-        p = _search_sign_vector(forms[j], s, search_norm)
+        p = _search_sign_vector(forms[j], s)
         zero = (0,) * orders[j].rank
         bounds[j] = (zero, p) if s > 0 else (p, zero)
-    yk = _search_sign_vector(forms[k], -1, search_norm)
+    yk = _search_sign_vector(forms[k], -1)
     xk = vec_scale(2, yk)
     bounds[k] = (xk, yk)
     return Certificate(
@@ -176,8 +183,6 @@ def kernel_lattice(c: LinearForm, m: int) -> list[IntVec]:
     the rational expansion of c over its radicands."""
     if c.rank != m:
         raise ValueError("form length differs from m")
-    if q_linear_independent(list(c.coeffs)):
-        raise ValueError("components are Q-independent; kernel is zero")
     rows: list[list[int]] = []
     for frac_row in radicand_rows(c.coeffs):
         denom = 1
@@ -186,7 +191,7 @@ def kernel_lattice(c: LinearForm, m: int) -> list[IntVec]:
         rows.append([int(q * denom) for q in frac_row])
     basis = int_kernel(rows)
     if not basis:
-        raise ValueError("kernel unexpectedly trivial")
+        raise ValueError("components are Q-independent; kernel is zero")
     return basis
 
 
@@ -215,9 +220,7 @@ def _lift(v: IntVec | None, basis: list[IntVec]) -> IntVec | None:
     return tuple(sum(v[s] * basis[s][j] for s in range(len(basis))) for j in range(m))
 
 
-def refute_rational_kernel(
-    orders: list[OrderSpec], i: int, search_norm: int = DEFAULT_SEARCH_NORM
-) -> Certificate:
+def refute_rational_kernel(orders: list[OrderSpec], i: int) -> Certificate:
     """Recurse on the kernel sublattice of order i's leading form.
 
     The order-i interval has both endpoints inside the kernel with equal
@@ -228,7 +231,7 @@ def refute_rational_kernel(
     c_i = orders[i].leading
     basis = kernel_lattice(c_i, m)
     pulled = [_pullback_order(o, basis) for j, o in enumerate(orders) if j != i]
-    inner = refute(pulled, search_norm=search_norm)
+    inner = refute(pulled)
     order_map = [j for j in range(len(orders)) if j != i]
     bounds = _infinite_bounds(len(orders))
     for pos, j in enumerate(order_map):
@@ -308,11 +311,7 @@ def _parallelepiped_empty(
     return True
 
 
-def refute_small_volume(
-    orders: list[OrderSpec],
-    width_box_cap: int = 64,
-    max_shift: int = 64,
-) -> Certificate:
+def refute_small_volume(orders: list[OrderSpec]) -> Certificate:
     """All forms independent and dense with m = n: build slab intervals of
     total volume below |det| and shift them until the parallelepiped
     contains no lattice point."""
@@ -341,34 +340,27 @@ def refute_small_volume(
         if (absdet - prod).sign() > 0:
             break
         box *= 2
-        if box > width_box_cap:
+        if box > WIDTH_BOX_CAP:
             raise SearchBudgetExhaustedError("width search box cap exceeded")
 
     inv_intervals = _inverse_intervals([f.coeffs for f in forms], det)
-    K = 2
-    while K <= max_shift:
-        for cell in iter_box(n, K):
-            if any(k < 0 for k in cell):
-                continue
-            bounds = tuple(
-                (vec_scale(k, p), vec_scale(k + 1, p)) for k, p in zip(cell, ps)
+    for cell in iter_box(n, MAX_SHIFT):
+        if any(k < 0 for k in cell):
+            continue
+        bounds = tuple((vec_scale(k, p), vec_scale(k + 1, p)) for k, p in zip(cell, ps))
+        if _parallelepiped_empty(orders, bounds, inv_intervals):
+            return Certificate(
+                IntervalConstraint(bounds),
+                TAG_SMALL_VOLUME,
+                {"det": det, "widths": eps},
             )
-            if _parallelepiped_empty(orders, bounds, inv_intervals):
-                return Certificate(
-                    IntervalConstraint(bounds),
-                    TAG_SMALL_VOLUME,
-                    {"det": det, "widths": eps},
-                )
-        K *= 2
     raise SearchBudgetExhaustedError("no empty translate within shift budget")
 
 
 # -- dispatch ----------------------------------------------------------------
 
 
-def refute(
-    orders: list[OrderSpec], search_norm: int = DEFAULT_SEARCH_NORM
-) -> Certificate:
+def refute(orders: list[OrderSpec]) -> Certificate:
     """Produce a verified certificate that the order tuple is not generic."""
     m = _common_rank(orders)
     n = len(orders)
@@ -377,10 +369,10 @@ def refute(
     dep = fs_row_dependency([o.leading.coeffs for o in orders])
     if dep is not None:
         k, coeffs = dep
-        return refute_dependent(orders, k, coeffs, search_norm)
+        return refute_dependent(orders, k, coeffs)
     for i, o in enumerate(orders):
         if not q_linear_independent(list(o.leading.coeffs)):
-            return refute_rational_kernel(orders, i, search_norm)
+            return refute_rational_kernel(orders, i)
     if n >= m:
         return refute_small_volume(orders)
     raise NoCertificateFound(
@@ -495,6 +487,8 @@ def _verify_small_volume(orders: list[OrderSpec], cert: Certificate) -> bool:
 def _verify_discrete_base(orders: list[OrderSpec], cert: Certificate) -> bool:
     ev = cert.evidence
     i = ev["order"]
+    if len(ev["pair"]) != 2:
+        raise MalformedCertificateError("field 'pair' must hold two vectors")
     a, b = (tuple(ev["pair"][0]), tuple(ev["pair"][1]))
     if orders[0].rank != 1 or not (0 <= i < len(orders)) or len(a) != 1 or len(b) != 1:
         raise MalformedCertificateError("bad discrete-base evidence")

@@ -1,57 +1,41 @@
 """JSON encoding/decoding for certificates and interval constraints.
 
 Scalar, form, order, multiorder and finite-structure types carry their
-own to_json/from_json; this module covers the tag-dispatched certificate
-evidence.
+own to_json/from_json; this module covers the certificate evidence, whose
+fields and kinds each lemma declares once in `refuter.EVIDENCE`.
 """
 
 from __future__ import annotations
 
 from .field import FieldScalar
 from .genericity import IntervalConstraint
-from .refuter import (
-    TAG_DEPENDENT,
-    TAG_DISCRETE_BASE,
-    TAG_RATIONAL_KERNEL,
-    TAG_SMALL_VOLUME,
-    Certificate,
-    MalformedCertificateError,
-)
+from .refuter import EVIDENCE, Certificate, MalformedCertificateError
 
 SCHEMA_VERSION = 1
 
 
+def _kinds(tag: str) -> dict:
+    if tag not in EVIDENCE:
+        raise MalformedCertificateError(f"unknown lemma tag {tag!r}")
+    return EVIDENCE[tag]
+
+
+def _encode(value):
+    if isinstance(value, FieldScalar):
+        return value.to_json()
+    if isinstance(value, Certificate):
+        return certificate_to_json(value)
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
+
+
 def certificate_to_json(cert: Certificate) -> dict:
     ev = cert.evidence
-    tag = cert.lemma_tag
-    if tag == TAG_DEPENDENT:
-        ev_json = {
-            "k": ev["k"],
-            "coeffs": [c.to_json() for c in ev["coeffs"]],
-            "reversed": list(ev["reversed"]),
-        }
-    elif tag == TAG_RATIONAL_KERNEL:
-        ev_json = {
-            "order": ev["order"],
-            "kernel_basis": [list(b) for b in ev["kernel_basis"]],
-            "inner": certificate_to_json(ev["inner"]),
-        }
-    elif tag == TAG_SMALL_VOLUME:
-        ev_json = {
-            "det": ev["det"].to_json(),
-            "widths": [w.to_json() for w in ev["widths"]],
-        }
-    elif tag == TAG_DISCRETE_BASE:
-        ev_json = {
-            "order": ev["order"],
-            "pair": [list(p) for p in ev["pair"]],
-        }
-    else:
-        raise MalformedCertificateError(f"unknown lemma tag {tag!r}")
     return {
-        "lemma_tag": tag,
+        "lemma_tag": cert.lemma_tag,
         "constraints": cert.constraints.to_json(),
-        "evidence": ev_json,
+        "evidence": {key: _encode(ev[key]) for key in _kinds(cert.lemma_tag)},
     }
 
 
@@ -76,34 +60,24 @@ def _scalar(obj) -> FieldScalar:
         raise MalformedCertificateError(f"bad field scalar: {exc}") from exc
 
 
+def _decode(ev, key: str, kind):
+    """Evidence field key, decoded and type-checked as its declared kind."""
+    if kind is FieldScalar:
+        return _scalar(_field(ev, key, dict))
+    if kind is Certificate:
+        return certificate_from_json(_field(ev, key, dict))
+    if kind == [FieldScalar]:
+        return [_scalar(c) for c in _field(ev, key, list)]
+    if kind == [tuple]:
+        return _vectors(ev, key)
+    return kind(_field(ev, key, kind))
+
+
 def certificate_from_json(obj: dict) -> Certificate:
     """Decode a certificate; malformed input raises MalformedCertificateError."""
     tag = _field(obj, "lemma_tag", str)
     ev = _field(obj, "evidence", dict)
-    if tag == TAG_DEPENDENT:
-        evidence = {
-            "k": _field(ev, "k", int),
-            "coeffs": [_scalar(c) for c in _field(ev, "coeffs", list)],
-            "reversed": list(_field(ev, "reversed", list)),
-        }
-    elif tag == TAG_RATIONAL_KERNEL:
-        evidence = {
-            "order": _field(ev, "order", int),
-            "kernel_basis": _vectors(ev, "kernel_basis"),
-            "inner": certificate_from_json(_field(ev, "inner", dict)),
-        }
-    elif tag == TAG_SMALL_VOLUME:
-        evidence = {
-            "det": _scalar(_field(ev, "det", dict)),
-            "widths": [_scalar(w) for w in _field(ev, "widths", list)],
-        }
-    elif tag == TAG_DISCRETE_BASE:
-        pair = _vectors(ev, "pair")
-        if len(pair) != 2:
-            raise MalformedCertificateError("field 'pair' must hold two vectors")
-        evidence = {"order": _field(ev, "order", int), "pair": tuple(pair)}
-    else:
-        raise MalformedCertificateError(f"unknown lemma tag {tag!r}")
+    evidence = {key: _decode(ev, key, kind) for key, kind in _kinds(tag).items()}
     try:
         constraints = IntervalConstraint.from_json(_field(obj, "constraints", list))
     except (KeyError, TypeError) as exc:

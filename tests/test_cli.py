@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -54,13 +56,12 @@ class TestGlobalOptions:
         [
             (["--precision-cap", "0"], "not a positive integer"),
             (["--probe-budget", "0"], "not a positive integer"),
-            (["--search-norm", "0"], "not a positive integer"),
             (["--box-schedule", "8", "8", "--seed", "0"], "strictly increasing"),
             (["--box-schedule", "16", "8", "--seed", "0"], "strictly increasing"),
             (["--box-schedule", "8", "-16", "--seed", "0"], "not a positive integer"),
             (["--seed", "-1"], "must not be negative"),
         ],
-        ids=["cap-0", "budget-0", "norm-0", "schedule-repeat", "schedule-down",
+        ids=["cap-0", "budget-0", "schedule-repeat", "schedule-down",
              "schedule-negative", "seed-negative"],
     )
     def test_bad_value_is_usage_error(self, capsys, option, message):
@@ -69,6 +70,18 @@ class TestGlobalOptions:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert message in captured.err
+
+    def test_readme_lists_every_global_option(self):
+        # The README's option bullets name exactly the parser's global options.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        bullets = readme.split("Global options", 1)[1].split("\n\n")[1]
+        documented = re.findall(r"^- `(--[a-z-]+)`", bullets, re.MULTILINE)
+        parser = cli._build_parser()
+        options = [
+            s for a in parser._actions for s in a.option_strings
+            if s.startswith("--") and s != "--help"
+        ]
+        assert documented == options
 
     def test_exhausted_precision_cap(self, capsys, witness_files):
         code = run(["--precision-cap", "32"] + witness_files)
@@ -224,9 +237,16 @@ class TestRefuteVerify:
             ("dependent", "Dependent", lambda c: c["constraints"][0].update(lower=[None, 1])),
             ("small_volume", "SmallVolume",
              lambda c: c["evidence"]["det"]["terms"][0].update(den=0)),
+            ("discrete", "DiscreteBase", lambda c: c["evidence"].update(pair=[[0]])),
+            ("discrete", "DiscreteBase",
+             lambda c: c["evidence"].update(pair=[[0], [1], [2]])),
+            ("rational_kernel", "RationalKernel", lambda c: c["evidence"].pop("inner")),
+            ("rational_kernel", "RationalKernel",
+             lambda c: c["evidence"].update(kernel_basis=[[1.5, -1]])),
+            ("dependent", "Dependent", lambda c: c.update(lemma_tag="Nonsense")),
         ],
         ids=["widths-null", "k-string", "no-evidence", "det-int", "pair-int", "endpoint-null",
-             "den-zero"],
+             "den-zero", "pair-one", "pair-three", "no-inner", "basis-float", "unknown-tag"],
     )
     def test_malformed_cert_is_invalid(self, capsys, tmp_path, orders, tag, corrupt):
         b = RadicalBasis((2, 3))
@@ -240,6 +260,10 @@ class TestRefuteVerify:
                 OrderSpec(2, (LinearForm((b.sqrt(3), b.one)),)),
             ],
             "discrete": [OrderSpec(1, (LinearForm((b.one,)),))],
+            "rational_kernel": [
+                OrderSpec(2, (LinearForm((b.one, b.one)), LinearForm((b.zero, b.one)))),
+                OrderSpec(2, (LinearForm((b.one, b.sqrt(2))),)),
+            ],
         }
         ofile = write_json(tmp_path, "o.json", [o.to_json() for o in lists[orders]])
         _, lines = invoke(capsys, ["refute", "--orders", ofile])

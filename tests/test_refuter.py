@@ -42,6 +42,13 @@ def rational_lead_z2():
     return OrderSpec(2, (LinearForm((ONE, ONE)), LinearForm((B.zero, ONE))))
 
 
+def pinned_dependent():
+    # m = 3 with a negative coefficient: c3 = 2 c1 - sqrt5 c2
+    a, b = (ONE, S2, S5), (S3, ONE, S2)
+    c = tuple(x * B.rational(2) - y * S5 for x, y in zip(a, b))
+    return [dense(a), dense(b), dense(c)]
+
+
 # -- random generators per lemma path ---------------------------------------
 
 
@@ -179,6 +186,26 @@ class TestDispatch:
         )
         assert verify_certificate(orders, cert, scan_box=20)
 
+    @pytest.mark.parametrize(
+        "orders, tag, digest",
+        [
+            (pinned_dependent(), TAG_DEPENDENT,
+             "583c2704ae6565bf456c0b5f7e5880859f331c417f8f6124c045c393d0db3c27"),
+            ([dense((ONE, S2, S5)), dense((S3, ONE, S2)), dense((S5, S3, ONE))],
+             TAG_SMALL_VOLUME,
+             "ace2733dd26194b281696e1be5faf60545f83abbee67a42dea0185d358bb7c6f"),
+            ([OrderSpec(1, (LinearForm((-ONE,)),))], TAG_DISCRETE_BASE,
+             "ee328aff02ac6a85b7aa284b291273c06cc5b327c7d904a98e87428834112842"),
+        ],
+        ids=[TAG_DEPENDENT, TAG_SMALL_VOLUME, TAG_DISCRETE_BASE],
+    )
+    def test_pinned_certificate(self, orders, tag, digest):
+        cert = refute(orders)
+        assert cert.lemma_tag == tag
+        text = json.dumps(certificate_to_json(cert), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert verify_certificate(orders, cert, scan_box=20)
+
     def test_no_certificate_for_single_dense_order(self):
         with pytest.raises(NoCertificateFound):
             refute([dense((ONE, S2))])
@@ -256,7 +283,9 @@ class TestVerification:
         ]
         for orders in cases:
             cert = refute(orders)
-            back = certificate_from_json(certificate_to_json(cert))
+            obj = certificate_to_json(cert)
+            back = certificate_from_json(obj)
+            assert certificate_to_json(back) == obj
             assert back.lemma_tag == cert.lemma_tag
             assert back.constraints == cert.constraints
             assert verify_certificate(orders, back)
