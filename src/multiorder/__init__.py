@@ -25,13 +25,7 @@ from .genericity import (
     witness_brute,
 )
 from .matrix import OrderMatrix, VerifyReport, build, verify
-from .orders import (
-    Cmp,
-    Cone,
-    LinearForm,
-    OrderSpec,
-    translation_invariant_check,
-)
+from .orders import Cmp, Cone, LinearForm, OrderSpec
 from .refuter import (
     Certificate,
     NoCertificateFound,
@@ -77,7 +71,6 @@ __all__ = [
     "refute_dependent",
     "refute_rational_kernel",
     "refute_small_volume",
-    "translation_invariant_check",
     "verify",
     "verify_certificate",
     "witness",

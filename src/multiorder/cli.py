@@ -17,11 +17,11 @@ from typing import Callable
 from .field import DEFAULT_PRECISION_CAP, PrecisionExceededError, precision_scope
 from .finite import FiniteNOrder, amalgamate, embed, pattern_of
 from .genericity import (
-    DEFAULT_BOX_SCHEDULE,
     DEFAULT_PROBE_BUDGET,
     IntervalConstraint,
     MultiOrder,
     ProbeBudgetExhaustedError,
+    brute_box,
     find_witness,
     witness_brute,
 )
@@ -72,9 +72,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     M = _load(args.multiorder, MultiOrder.from_json)
     cons = _load(args.constraints, IntervalConstraint.from_json)
     if M.direction is not None:
-        res = find_witness(
-            M, cons, probe_budget=args.probe_budget, box_schedule=args.box_schedule
-        )
+        res = find_witness(M, cons, probe_budget=args.probe_budget)
         _emit(
             {
                 "witness": list(res.point),
@@ -83,7 +81,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             }
         )
         return EXIT_OK
-    z = witness_brute(M, cons, args.box_schedule[-1])
+    z = witness_brute(M, cons, brute_box(M.rank))
     if z is None:
         _emit({"witness": None, "backend": "brute"})
         return EXIT_NOT_FOUND
@@ -116,9 +114,7 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
 def _cmd_embed(args: argparse.Namespace) -> int:
     s = _load(args.structure, FiniteNOrder.from_json)
     M = _load(args.multiorder, MultiOrder.from_json)
-    emb = embed(
-        s, M, probe_budget=args.probe_budget, box_schedule=args.box_schedule
-    )
+    emb = embed(s, M, probe_budget=args.probe_budget)
     _emit({"embedding": emb.to_json()})
     return EXIT_OK
 
@@ -179,15 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--probe-budget", type=_positive_int, default=DEFAULT_PROBE_BUDGET
     )
-    parser.add_argument(
-        "--box-schedule",
-        type=_positive_int,
-        nargs="+",
-        default=DEFAULT_BOX_SCHEDULE,
-        help="strictly increasing boxes of the brute-force fallback; it takes "
-        "every number that follows, so another option must come before the "
-        "subcommand, e.g. --box-schedule 16 32 --seed 0 witness ...",
-    )
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -237,8 +224,6 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if list(args.box_schedule) != sorted(set(args.box_schedule)):
-            parser.error("--box-schedule must be strictly increasing")
         if args.seed < 0:
             parser.error("--seed must not be negative")
         env_cap = os.environ.get("MULTIORDER_PRECISION_CAP")  # overrides the flag

@@ -34,8 +34,7 @@ class PrecisionExceededError(ArithmeticError):
 
 @contextmanager
 def precision_scope(cap: int) -> Iterator[None]:
-    """Make cap the precision cap of sign() and isolate() inside the block,
-    for calls that pass none of their own."""
+    """Make cap the precision cap of sign() and isolate() inside the block."""
     token = _precision_cap.set(cap)
     try:
         yield
@@ -276,18 +275,18 @@ class FieldScalar:
                 hi += q * slo
         return lo, hi
 
-    def isolate(self, precision_cap: int | None = None) -> tuple[Fraction, Fraction]:
+    def isolate(self) -> tuple[Fraction, Fraction]:
         """A rational enclosure (lo, hi) of the value that excludes 0 unless
         the value is 0.
 
         A rational value q, 0 included, gives (q, q).  Otherwise the
-        precision doubles from 64 bits up to the cap (the scoped cap of
-        precision_scope when none is given) until the enclosure excludes 0.
+        precision doubles from 64 bits up to the cap of precision_scope
+        until the enclosure excludes 0.
         """
         if self.is_rational():
             q = self.terms.get(1, _ZERO)
             return q, q
-        cap = _precision_cap.get() if precision_cap is None else precision_cap
+        cap = _precision_cap.get()
         bits = 64
         while bits <= cap:
             lo, hi = self.interval(bits)
@@ -298,9 +297,9 @@ class FieldScalar:
             f"sign undecided at precision cap {cap} bits: {self!r}"
         )
 
-    def sign(self, precision_cap: int | None = None) -> int:
+    def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, read off the enclosure of isolate()."""
-        lo, hi = self.isolate(precision_cap)
+        lo, hi = self.isolate()
         # The sign of a Fraction is the sign of its numerator; comparing
         # integers is much cheaper than comparing a Fraction with 0.
         return (lo.numerator > 0) - (hi.numerator < 0)
@@ -425,30 +424,6 @@ def fs_cofactors(rows: list[tuple[FieldScalar, ...]]) -> tuple[FieldScalar, ...]
         minor = fs_det([r[:j] + r[j + 1 :] for r in rows])
         out.append(minor if j % 2 == 0 else -minor)
     return tuple(out)
-
-
-def fs_det_elimination(rows: list[tuple[FieldScalar, ...]]) -> FieldScalar:
-    """Determinant by Gaussian elimination with exact division; oracle route."""
-    n = len(rows)
-    work = [list(r) for r in rows]
-    basis = rows[0][0].basis
-    det = basis.one
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not work[i][col].is_zero()), None)
-        if piv is None:
-            return basis.zero
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        pivot = work[col][col]
-        det = det * pivot
-        inv = pivot.inverse()
-        for i in range(col + 1, n):
-            if work[i][col].is_zero():
-                continue
-            f = work[i][col] * inv
-            work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    return det
 
 
 def fs_row_dependency(

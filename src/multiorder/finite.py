@@ -7,7 +7,6 @@ import functools
 from dataclasses import dataclass
 
 from .genericity import (
-    DEFAULT_BOX_SCHEDULE,
     DEFAULT_PROBE_BUDGET,
     IntervalConstraint,
     MultiOrder,
@@ -115,7 +114,6 @@ def embed(
     s: FiniteNOrder,
     M: MultiOrder,
     probe_budget: int = DEFAULT_PROBE_BUDGET,
-    box_schedule: tuple[int, ...] = DEFAULT_BOX_SCHEDULE,
 ) -> Embedding:
     """Place the points one at a time, each via a witness call constrained
     by its position relative to the already-placed points in every order."""
@@ -139,9 +137,7 @@ def embed(
             )
             bounds.append((lo, hi))
         cons = IntervalConstraint(tuple(bounds))
-        placed[label] = find_witness(
-            M, cons, probe_budget=probe_budget, box_schedule=box_schedule
-        ).point
+        placed[label] = find_witness(M, cons, probe_budget=probe_budget).point
     emb = Embedding(tuple(placed[lab] for lab in range(s.k)))
     if not induced(M, list(emb.points)).isomorphic(s):
         raise NotAnEmbeddingError("witness placement failed to realize the structure")

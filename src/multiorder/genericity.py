@@ -18,7 +18,6 @@ from .matrix import OrderMatrix
 from .orders import Cmp, LinearForm, OrderSpec
 
 DEFAULT_PROBE_BUDGET = 10**6
-DEFAULT_BOX_SCHEDULE = (8, 16, 32, 64, 128, 256, 512, 1024)
 
 
 class UnverifiedMatrixError(ValueError):
@@ -116,6 +115,9 @@ class IntervalConstraint:
             lo = None if e["lower"] == "-inf" else tuple(e["lower"])
             hi = None if e["upper"] == "+inf" else tuple(e["upper"])
             bounds.append((lo, hi))
+        ends = [e for bound in bounds for e in bound if e is not None]
+        if not all(type(x) is int for e in ends for x in e):
+            raise TypeError("interval endpoints must be integer vectors")
         return IntervalConstraint(tuple(bounds))
 
 
@@ -205,17 +207,24 @@ def _t_schedule(start: int, count: int) -> np.ndarray:
     return (k * sign).astype(float)
 
 
+def brute_box(m: int) -> int:
+    """The box of the brute-force fallback in rank m: the largest b <= 1024
+    whose box [-b, b]^m holds at most 3e7 points; beyond that the line walk
+    is the only viable engine."""
+    return next(b for b in range(1024, -1, -1) if (2 * b + 1) ** m <= 3 * 10**7)
+
+
 def find_witness(
     M: MultiOrder,
     cons: IntervalConstraint,
     probe_budget: int = DEFAULT_PROBE_BUDGET,
-    box_schedule: tuple[int, ...] = DEFAULT_BOX_SCHEDULE,
 ) -> WitnessResult:
     """Accelerated witness search along the cylinder axis, exact validation.
 
-    Falls back to brute enumeration with escalating boxes; the existence
-    engine is Kronecker's theorem, which gives no effective bound, so the
-    schedule escalates until a witness appears.
+    Falls back to one brute scan of the box brute_box(m); the existence
+    engine is Kronecker's theorem, which gives no effective bound.  Every
+    smaller box is a prefix of that scan in canonical order, so the scan
+    returns the first point of the smallest box that holds one.
     """
     cons.validate(M)
     if M.direction is None:
@@ -262,30 +271,20 @@ def find_witness(
                 return WitnessResult(z, probes + int(idx) + 1, "line")
         probes += count
 
-    # Cap the fallback boxes so the enumeration stays near 3e7 points even
-    # in higher rank; beyond that the line walk is the only viable engine.
-    cap = next(b for b in range(1024, 7, -1) if (2 * b + 1) ** m <= 3 * 10**7)
-    seen = set()
-    for box in box_schedule:
-        eff = min(box, cap)
-        if eff in seen:
-            continue
-        seen.add(eff)
-        z = witness_brute(M, cons, eff)
-        if z is not None:
-            return WitnessResult(z, probes, "brute")
-    raise ProbeBudgetExhaustedError(
-        "witness not found within probe budget and box schedule"
-    )
+    z = witness_brute(M, cons, brute_box(m))
+    if z is None:
+        raise ProbeBudgetExhaustedError(
+            "witness not found within probe budget and brute box"
+        )
+    return WitnessResult(z, probes, "brute")
 
 
 def witness(
     M: MultiOrder,
     cons: IntervalConstraint,
     probe_budget: int = DEFAULT_PROBE_BUDGET,
-    box_schedule: tuple[int, ...] = DEFAULT_BOX_SCHEDULE,
 ) -> IntVec:
-    return find_witness(M, cons, probe_budget, box_schedule).point
+    return find_witness(M, cons, probe_budget).point
 
 
 def interval_around(
@@ -314,7 +313,6 @@ def extension_property_test(
     trials: int,
     box: int,
     rng_seed: int = 0,
-    probe_budget: int = DEFAULT_PROBE_BUDGET,
 ) -> ExtensionReport:
     """Randomized corroboration of the k-point extension property.
 
@@ -336,7 +334,7 @@ def extension_property_test(
         cons = interval_around(M, pts, choices)
         if M.direction is not None:
             try:
-                find_witness(M, cons, probe_budget=probe_budget)
+                find_witness(M, cons)
             except ProbeBudgetExhaustedError:
                 failures.append((pts, choices, cons))
         else:

@@ -103,6 +103,8 @@ def build(m: int, seed: int) -> OrderMatrix:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     primes = primes_from(seed, (m - 1) ** 2)
     basis = RadicalBasis(tuple(primes))
     rows = []

@@ -8,7 +8,6 @@ leading form (the non-archimedean case).  All notation is additive.
 from __future__ import annotations
 
 import math
-import random
 from enum import IntEnum
 from fractions import Fraction
 
@@ -208,21 +207,3 @@ class OrderSpec:
             obj["rank"], tuple(LinearForm.from_json(f) for f in obj["forms"])
         )
 
-
-def translation_invariant_check(
-    o: OrderSpec, samples: int, rng: random.Random | None = None, spread: int = 50
-) -> bool:
-    """Sampled check that compare(x, y) == compare(x+g, y+g)."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = rng or random.Random(0)
-    m = o.rank
-    for _ in range(samples):
-        x = tuple(rng.randint(-spread, spread) for _ in range(m))
-        y = tuple(rng.randint(-spread, spread) for _ in range(m))
-        g = tuple(rng.randint(-spread, spread) for _ in range(m))
-        if o.compare(x, y) != o.compare(
-            tuple(a + c for a, c in zip(x, g)), tuple(b + c for b, c in zip(y, g))
-        ):
-            return False
-    return True

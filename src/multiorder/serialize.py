@@ -82,7 +82,4 @@ def certificate_from_json(obj: dict) -> Certificate:
         constraints = IntervalConstraint.from_json(_field(obj, "constraints", list))
     except (KeyError, TypeError) as exc:
         raise MalformedCertificateError(f"bad constraints: {exc}") from exc
-    ends = [e for bound in constraints.bounds for e in bound if e is not None]
-    if not all(type(x) is int for e in ends for x in e):
-        raise MalformedCertificateError("interval endpoints must be integer vectors")
     return Certificate(constraints, tag, evidence)

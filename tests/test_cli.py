@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from multiorder.finite import FiniteNOrder, from_pattern
 from multiorder.genericity import IntervalConstraint, MultiOrder, from_matrix, satisfies
 from multiorder.matrix import build
 from multiorder.orders import LinearForm, OrderSpec
-from multiorder.field import PrecisionExceededError, RadicalBasis
+from multiorder.field import PrecisionExceededError, RadicalBasis, fs_cofactors
 
 
 def invoke(capsys, argv):
@@ -49,20 +50,14 @@ def witness_files(m2_file, cons_file):
 
 
 class TestGlobalOptions:
-    # nargs="+" makes --box-schedule take every number that follows it, so
-    # another option has to end it.
     @pytest.mark.parametrize(
         "option, message",
         [
             (["--precision-cap", "0"], "not a positive integer"),
             (["--probe-budget", "0"], "not a positive integer"),
-            (["--box-schedule", "8", "8", "--seed", "0"], "strictly increasing"),
-            (["--box-schedule", "16", "8", "--seed", "0"], "strictly increasing"),
-            (["--box-schedule", "8", "-16", "--seed", "0"], "not a positive integer"),
             (["--seed", "-1"], "must not be negative"),
         ],
-        ids=["cap-0", "budget-0", "schedule-repeat", "schedule-down",
-             "schedule-negative", "seed-negative"],
+        ids=["cap-0", "budget-0", "seed-negative"],
     )
     def test_bad_value_is_usage_error(self, capsys, option, message):
         code = run(option + ["build-matrix", "--m", "2"])
@@ -124,6 +119,14 @@ class TestBuildMatrix:
         code, _ = invoke(capsys, ["build-matrix", "--m", "1"])
         assert code == EXIT_USAGE
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        # The subcommand's own --seed is checked as the global one is.
+        code = run(["build-matrix", "--m", "3", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0\n"
+
 
 class TestWitness:
     def test_found(self, capsys, tmp_path, m2_file):
@@ -147,12 +150,74 @@ class TestWitness:
             tmp_path, "c1.json", IntervalConstraint((((0,), (1,)),)).to_json()
         )
         code, lines = invoke(
-            capsys,
-            ["--box-schedule", "8", "--seed", "0", "witness",
-             "--multiorder", mfile, "--constraints", cons],
+            capsys, ["witness", "--multiorder", mfile, "--constraints", cons]
         )
         assert code == EXIT_NOT_FOUND
         assert lines[0]["witness"] is None
+
+    def test_no_direction_narrow_windows_m4(self, capsys, tmp_path):
+        # The orders of build(4, 0) without their direction, and windows of
+        # widths 2.6e-4, 1.2e-4 and 8.9e-6 above the origin: no point up to
+        # box 128.  The scan stops at brute_box(4) = 36, not at box 1024.
+        orders = from_matrix(build(4, 0)).orders
+        mfile = write_json(tmp_path, "m4.json", MultiOrder(4, orders).to_json())
+        uppers = [(-8, 0, -7, 9), (-6, -4, 5, 0), (8, -3, -10, 10)]
+        bounds = tuple(((0, 0, 0, 0), v) for v in uppers)
+        cons = write_json(tmp_path, "c4.json", IntervalConstraint(bounds).to_json())
+        start = time.perf_counter()
+        code, lines = invoke(
+            capsys, ["witness", "--multiorder", mfile, "--constraints", cons]
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_NOT_FOUND
+        assert lines == [{"schema": 1, "witness": None, "backend": "brute"}]
+
+    def test_rank_7_falls_back_to_brute_box(self, capsys, tmp_path):
+        # One probe misses the window (0, 1); the fallback box in rank 7 is
+        # brute_box(7) = 5.
+        b = RadicalBasis((2, 3, 5, 7, 11, 13))
+        form = LinearForm((b.one,) + tuple(b.sqrt(p) for p in b.primes))
+        zeros = (b.zero,) * 5
+        direction = LinearForm((b.sqrt(2), -b.one) + zeros)
+        M = MultiOrder(7, (OrderSpec(7, (form,)),), direction)
+        mfile = write_json(tmp_path, "m7.json", M.to_json())
+        cons = IntervalConstraint((((0,) * 7, (1,) + (0,) * 6),))
+        cfile = write_json(tmp_path, "c7.json", cons.to_json())
+        code, lines = invoke(
+            capsys,
+            ["--probe-budget", "1", "witness", "--multiorder", mfile,
+             "--constraints", cfile],
+        )
+        assert code == EXIT_OK
+        (payload,) = lines
+        assert (payload["probes"], payload["backend"]) == (1, "brute")
+        assert max(map(abs, payload["witness"])) <= 5
+        assert satisfies(M, cons, tuple(payload["witness"]))
+
+    def test_non_generic_tuple_exhausts_budget(self, capsys, tmp_path):
+        # c1 - c2 = (1, 0, -1), so y1 - y2 is an integer at every lattice
+        # point, and these windows force it into (-0.647, -0.360): neither
+        # the line walk nor the brute box can find a point.  This exit code
+        # was the same when the fallback escalated through a box schedule.
+        b = RadicalBasis((2, 3, 5))
+        c1 = (b.one + b.sqrt(2), b.sqrt(3), b.sqrt(5))
+        c2 = (b.sqrt(2), b.sqrt(3), b.one + b.sqrt(5))
+        orders = tuple(OrderSpec(3, (LinearForm(c),)) for c in (c1, c2))
+        M = MultiOrder(3, orders, LinearForm(fs_cofactors([c1, c2])))
+        mfile = write_json(tmp_path, "m.json", M.to_json())
+        cons = IntervalConstraint(
+            (((4, -3, -2), (-4, 3, 2)), ((5, -2, -1), (-2, 2, 0)))
+        )
+        cfile = write_json(tmp_path, "c.json", cons.to_json())
+        code = run(
+            ["--probe-budget", "1000", "witness", "--multiorder", mfile,
+             "--constraints", cfile]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_BUDGET
+        assert captured.out == ""
+        assert captured.err.startswith("error: witness not found")
+        assert captured.err.count("\n") == 1
 
     # Endpoints beyond 2^53 are rounded when the windows are formed in
     # floats; the filter's error bound must cover that rounding, so these
@@ -337,18 +402,15 @@ class TestFiniteCommands:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
-    def test_embed_honours_box_schedule(self, capsys, tmp_path):
+    def test_embed_falls_back_to_brute_box(self, capsys, tmp_path):
         # With one probe the line walk misses the third point; the brute
-        # fallback finds it in the box [-8, 8]^3 but not in [-1, 1]^3.
+        # fallback finds it.
         mfile = write_json(tmp_path, "m3.json", from_matrix(build(3, 0)).to_json())
         sfile = write_json(tmp_path, "s.json", from_pattern((2, 3, 1)).to_json())
-        argv = ["--seed", "0", "embed", "--structure", sfile, "--multiorder", mfile]
-        code, lines = invoke(capsys, ["--probe-budget", "1", "--box-schedule", "8"] + argv)
+        argv = ["--probe-budget", "1", "embed", "--structure", sfile, "--multiorder", mfile]
+        code, lines = invoke(capsys, argv)
         assert code == EXIT_OK
         assert len(lines[0]["embedding"]) == 3
-        code, lines = invoke(capsys, ["--probe-budget", "1", "--box-schedule", "1"] + argv)
-        assert code == EXIT_BUDGET
-        assert lines == []
 
 
 class TestUsageErrors:
@@ -381,6 +443,10 @@ class TestUsageErrors:
             (["witness", "--multiorder", "BAD", "--constraints", "CONS"], [{"rank": 2}]),
             (["witness", "--multiorder", "M2", "--constraints", "BAD"],
              [{"lower": 5, "upper": "+inf"}]),
+            (["witness", "--multiorder", "M2", "--constraints", "BAD"],
+             [{"lower": [0.5, 0], "upper": "+inf"}]),
+            (["witness", "--multiorder", "M2", "--constraints", "BAD"],
+             [{"lower": "abc", "upper": "+inf"}]),
             (["embed", "--structure", "BAD", "--multiorder", "M2"],
              {"k": 2, "n": 1, "orders": 3}),
             (["pattern", "--structure", "BAD"], ["k", "n"]),
@@ -394,7 +460,8 @@ class TestUsageErrors:
              [{"rank": 1, "forms": [[{"basis": [], "terms": [
                  {"radicand": 1, "num": 1, "den": 0}]}]]}]),
         ],
-        ids=["orders", "verify-orders", "multiorder", "constraints", "structure",
+        ids=["orders", "verify-orders", "multiorder", "constraints",
+             "endpoint-float", "endpoint-string", "structure",
              "pattern-structure", "a", "b1", "b2", "den-zero"],
     )
     def test_malformed_input_is_usage_error(

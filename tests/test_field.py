@@ -10,13 +10,14 @@ from multiorder.field import (
     PrecisionExceededError,
     RadicalBasis,
     fs_det,
-    fs_det_elimination,
     fs_row_dependency,
     precision_scope,
     q_linear_independent,
     radicand_rows,
     rational_rank,
 )
+
+from oracles import fs_det_elimination
 
 B23 = RadicalBasis((2, 3))
 B235 = RadicalBasis((2, 3, 5))
@@ -83,7 +84,8 @@ class TestSign:
     def test_precision_cap_error(self):
         v = B23.sqrt(2)
         with pytest.raises(PrecisionExceededError):
-            v.sign(precision_cap=32)
+            with precision_scope(32):
+                v.sign()
 
     def test_precision_scope_restored_on_raise(self):
         v = B23.sqrt(2)
@@ -91,8 +93,6 @@ class TestSign:
             with precision_scope(32):
                 v.sign()
         assert v.sign() == 1
-        with precision_scope(32):
-            assert v.sign(precision_cap=64) == 1
 
 
 class TestIsolate:
@@ -112,7 +112,8 @@ class TestIsolate:
 
     def test_cap_error(self):
         with pytest.raises(PrecisionExceededError):
-            B23.sqrt(2).isolate(precision_cap=32)
+            with precision_scope(32):
+                B23.sqrt(2).isolate()
 
 
 class TestQLinearIndependence:

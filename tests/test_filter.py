@@ -171,7 +171,7 @@ class TestNearTies:
         for n, cons in enumerate(windows(M, i, z0, v)):
             if n == 5:  # empty near z0; the walk would need ~1e9 probes
                 continue
-            res = find_witness(M, cons, probe_budget=2000, box_schedule=(8,))
+            res = find_witness(M, cons, probe_budget=2000)
             assert satisfies(M, cons, res.point)
             if n == 4:  # the walk's first probe is z0, right at both ends
                 assert (res.point, res.probes, res.backend) == (z0, 1, "line")

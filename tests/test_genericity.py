@@ -11,11 +11,14 @@ from multiorder.genericity import (
     MalformedConstraintError,
     MultiOrder,
     NoDirectionError,
+    ProbeBudgetExhaustedError,
     UnverifiedMatrixError,
+    brute_box,
     extension_property_test,
     find_witness,
     first_satisfying,
     from_matrix,
+    interval_around,
     satisfies,
     witness,
     witness_brute,
@@ -155,6 +158,42 @@ class TestWitness:
             brute = witness_brute(m3, cons, 12)
             if brute is not None:
                 assert satisfies(m3, cons, witness(m3, cons))
+
+
+class TestBruteBox:
+    def test_sizes(self):
+        want = [1024, 1024, 154, 36, 15, 8, 5, 3, 2, 2] + [1] * 5 + [0] * 5
+        assert [brute_box(m) for m in range(1, 21)] == want
+
+    def test_one_scan_equals_escalating_schedule(self, m2, m3, m4):
+        # In (max-norm, lex) order every box is a prefix of a larger one, so
+        # the one scan of brute_box(m) returns the first point of the
+        # smallest capped box of 8, 16, ..., 1024 that holds one.  The
+        # schedule-based fallback that this scan replaced passes it too.
+        def schedule(M, cons):
+            for b in (8, 16, 32, 64, 128, 256, 512, 1024):
+                z = witness_brute(M, cons, min(b, brute_box(M.rank)))
+                if z is not None:
+                    return z
+            return None
+
+        rng = random.Random(17)
+        ends = {"brute": 0, "exhausted": 0}
+        for q in range(120):
+            M = (m2, m3, m4)[q % 3]
+            pts = {tuple(rng.randint(-6, 6) for _ in range(M.rank)) for _ in range(4)}
+            pts = sorted(pts)
+            cons = interval_around(M, pts, [rng.randint(0, len(pts)) for _ in M.orders])
+            try:
+                res = find_witness(M, cons, probe_budget=1)
+            except ProbeBudgetExhaustedError:
+                ends["exhausted"] += 1
+                assert schedule(M, cons) is None
+                continue
+            if res.backend == "brute":
+                ends["brute"] += 1
+                assert (res.point, res.probes) == (schedule(M, cons), 1)
+        assert sum(ends.values()) >= 30, ends
 
 
 class TestExtensionProperty:

@@ -7,7 +7,6 @@ from multiorder.field import (
     RadicalBasis,
     fs_cofactors,
     fs_det,
-    fs_det_elimination,
     fs_dot,
 )
 from multiorder.matrix import (
@@ -16,6 +15,8 @@ from multiorder.matrix import (
     verify,
 )
 from multiorder.orders import LinearForm
+
+from oracles import fs_det_elimination
 
 B = RadicalBasis((2,))
 B235 = RadicalBasis((2, 3, 5))
@@ -73,6 +74,11 @@ class TestBuild:
     def test_m_too_small(self):
         with pytest.raises(ValueError):
             build(1, 0)
+
+    def test_negative_seed(self):
+        # primes_from(-1, ...) would start at 2, as seed 0 does.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            build(3, -1)
 
     def test_deterministic_in_seed(self):
         a1 = build(3, 5)

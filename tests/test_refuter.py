@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from multiorder.field import RadicalBasis, fs_det_elimination
+from multiorder.field import RadicalBasis
 from multiorder.genericity import IntervalConstraint
 from multiorder.lattice import same_lattice
 from multiorder.orders import LinearForm, OrderSpec
@@ -25,6 +25,8 @@ from multiorder.refuter import (
     verify_certificate,
 )
 from multiorder.serialize import certificate_from_json, certificate_to_json
+
+from oracles import fs_det_elimination
 
 B = RadicalBasis((2, 3, 5))
 ONE, S2, S3, S5 = B.one, B.sqrt(2), B.sqrt(3), B.sqrt(5)
