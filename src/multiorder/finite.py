@@ -170,44 +170,28 @@ def amalgamate(
     """
     _check_embedding(a, b1, f1)
     _check_embedding(a, b2, f2)
-    f2_image = {f2[lab]: lab for lab in range(a.k)}
     # C labels: b1 labels keep their names; extra b2 labels are appended.
-    extra_b2 = [x for x in range(b2.k) if x not in f2_image]
     g1 = tuple(range(b1.k))
-    g2_map = {}
-    for lab in range(a.k):
-        g2_map[f2[lab]] = f1[lab]
-    for t, x in enumerate(extra_b2):
-        g2_map[x] = b1.k + t
+    g2_map = {f2[lab]: f1[lab] for lab in range(a.k)}
+    extra_b2 = [x for x in range(b2.k) if x not in g2_map]
+    g2_map.update((x, b1.k + t) for t, x in enumerate(extra_b2))
     g2 = tuple(g2_map[x] for x in range(b2.k))
     kc = b1.k + len(extra_b2)
 
-    def gap_index(b: FiniteNOrder, f: tuple[int, ...], i: int, x: int) -> int:
-        # number of a-points preceding x in order i of b
-        pos = b.orders[i].index(x)
-        images = set(f)
-        return sum(1 for t in range(pos) if b.orders[i][t] in images)
-
+    # Each point of C sorts by (gap, source, position): the gap counts the
+    # a-points before it in its own structure, and the source puts new b1
+    # points (0) before new b2 points (1) before the a-point closing the gap.
+    sides = ((b1, set(f1), g1, 0), (b2, set(f2), g2, 1))
     orders_c = []
     for i in range(a.n):
-        gaps_b1: dict[int, list[int]] = {g: [] for g in range(a.k + 1)}
-        for x in range(b1.k):
-            if x in set(f1):
-                continue
-            gaps_b1[gap_index(b1, f1, i, x)].append(x)
-        for g in gaps_b1:
-            gaps_b1[g].sort(key=lambda x: b1.orders[i].index(x))
-        gaps_b2: dict[int, list[int]] = {g: [] for g in range(a.k + 1)}
-        for x in extra_b2:
-            gaps_b2[gap_index(b2, f2, i, x)].append(x)
-        for g in gaps_b2:
-            gaps_b2[g].sort(key=lambda x: b2.orders[i].index(x))
-        seq: list[int] = []
-        for g in range(a.k + 1):
-            seq.extend(gaps_b1[g])
-            seq.extend(g2_map[x] for x in gaps_b2[g])
-            if g < a.k:
-                seq.append(f1[a.orders[i][g]])
-        orders_c.append(tuple(seq))
+        keyed = [(gap, 2, 0, f1[lab]) for gap, lab in enumerate(a.orders[i])]
+        for b, images, g, source in sides:
+            gap = 0
+            for pos, x in enumerate(b.orders[i]):
+                if x in images:
+                    gap += 1
+                else:
+                    keyed.append((gap, source, pos, g[x]))
+        orders_c.append(tuple(label for *_, label in sorted(keyed)))
     c = FiniteNOrder(kc, a.n, tuple(orders_c))
     return c, g1, g2

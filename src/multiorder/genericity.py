@@ -247,12 +247,12 @@ def find_witness(
 
     d = np.array(M.direction.floats())
     d = d / np.linalg.norm(d)
-    square = np.vstack([C, d])
+    system = np.vstack([C, d])
     rhs = np.concatenate([mids, [0.0]])
     try:
-        p0 = np.linalg.solve(square, rhs)
-    except np.linalg.LinAlgError:  # pragma: no cover - matrix is invertible
-        p0 = np.linalg.lstsq(square, rhs, rcond=None)[0]
+        p0 = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:  # fewer or more orders than m - 1, or dependent forms
+        p0 = np.linalg.lstsq(system, rhs, rcond=None)[0]
 
     chunk = 8192
     probes = 0

@@ -4,8 +4,9 @@ Dispatch mirrors the induction of the non-existence proof: dependent
 defining forms, a form with rationally dependent components (recurse on
 its kernel sublattice), or all forms dense with a small-volume empty
 parallelepiped.  Rank one bottoms out in the discrete base case.  Every
-certificate carries exact field-element evidence and is re-checkable by
-verify_certificate without trusting the refuter.
+certificate carries only what the checker cannot recompute: its tag, its
+intervals and the witnesses that are cheaper to check than to find.
+verify_certificate re-checks it without trusting the refuter.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from .field import (
     q_linear_independent,
     radicand_rows,
 )
-from .genericity import IntervalConstraint, MultiOrder, first_satisfying, satisfies
+from .genericity import (
+    IntervalConstraint,
+    MalformedConstraintError,
+    MultiOrder,
+    first_satisfying,
+    satisfies,
+)
 from .lattice import IntVec, int_kernel, iter_box, same_lattice, vec_scale, vec_sub
 from .orders import Cmp, LinearForm, OrderSpec
 
@@ -59,13 +66,14 @@ class Certificate:
 
 
 # Each lemma's evidence fields and their kinds, the one schema the codec in
-# serialize.py reads: int, list, FieldScalar, Certificate, or a list of
-# FieldScalar or of integer vectors.
+# serialize.py reads: int, Certificate, or a list of FieldScalar or of
+# integer vectors.  A field is kept only when the checker cannot recompute
+# it from the orders and the intervals.
 EVIDENCE = {
-    TAG_DEPENDENT: {"k": int, "coeffs": [FieldScalar], "reversed": list},
+    TAG_DEPENDENT: {"coeffs": [FieldScalar]},
     TAG_RATIONAL_KERNEL: {"order": int, "kernel_basis": [tuple], "inner": Certificate},
-    TAG_SMALL_VOLUME: {"det": FieldScalar, "widths": [FieldScalar]},
-    TAG_DISCRETE_BASE: {"order": int, "pair": [tuple]},
+    TAG_SMALL_VOLUME: {},
+    TAG_DISCRETE_BASE: {"order": int},
 }
 
 
@@ -100,9 +108,9 @@ def scan_box(
     return first_satisfying(M, IntervalConstraint(tuple(bounds)), box)
 
 
-def _sanity_box(m: int, box: int) -> int:
+def _sanity_box(m: int) -> int:
     if m <= 3:
-        return box
+        return DEFAULT_SCAN_BOX
     return max(8, int(round(5e6 ** (1.0 / m))) // 2)
 
 
@@ -139,9 +147,7 @@ def _refute_discrete_base(orders: list[OrderSpec]) -> Certificate:
     bounds = _infinite_bounds(len(orders))
     bounds[0] = ((0,), g)
     return Certificate(
-        IntervalConstraint(tuple(bounds)),
-        TAG_DISCRETE_BASE,
-        {"order": 0, "pair": ((0,), g)},
+        IntervalConstraint(tuple(bounds)), TAG_DISCRETE_BASE, {"order": 0}
     )
 
 
@@ -168,13 +174,7 @@ def refute_dependent(
     xk = vec_scale(2, yk)
     bounds[k] = (xk, yk)
     return Certificate(
-        IntervalConstraint(tuple(bounds)),
-        TAG_DEPENDENT,
-        {
-            "k": k,
-            "coeffs": list(coeffs),
-            "reversed": [s < 0 for s in signs],
-        },
+        IntervalConstraint(tuple(bounds)), TAG_DEPENDENT, {"coeffs": list(coeffs)}
     )
 
 
@@ -349,11 +349,7 @@ def refute_small_volume(orders: list[OrderSpec]) -> Certificate:
             continue
         bounds = tuple((vec_scale(k, p), vec_scale(k + 1, p)) for k, p in zip(cell, ps))
         if _parallelepiped_empty(orders, bounds, inv_intervals):
-            return Certificate(
-                IntervalConstraint(bounds),
-                TAG_SMALL_VOLUME,
-                {"det": det, "widths": eps},
-            )
+            return Certificate(IntervalConstraint(bounds), TAG_SMALL_VOLUME, {})
     raise SearchBudgetExhaustedError("no empty translate within shift budget")
 
 
@@ -383,24 +379,13 @@ def refute(orders: list[OrderSpec]) -> Certificate:
 # -- verification ------------------------------------------------------------
 
 
-def _check_bounds_shape(orders: list[OrderSpec], cert: Certificate) -> None:
-    m = orders[0].rank
-    if len(cert.constraints.bounds) != len(orders):
-        raise MalformedCertificateError("one interval per order required")
-    for lo, hi in cert.constraints.bounds:
-        for e in (lo, hi):
-            if e is not None and len(e) != m:
-                raise MalformedCertificateError("endpoint rank mismatch")
-
-
 def _verify_dependent(orders: list[OrderSpec], cert: Certificate) -> bool:
-    ev = cert.evidence
-    k = ev["k"]
-    coeffs = ev["coeffs"]
-    if not (0 < k < len(orders)) or len(coeffs) != k:
-        raise MalformedCertificateError("bad dependency index or coefficients")
+    coeffs = cert.evidence["coeffs"]
+    k = len(coeffs)
     forms = [o.leading for o in orders]
     basis = forms[0].basis
+    if not 0 < k < len(orders) or any(c.basis != basis for c in coeffs):
+        raise MalformedCertificateError("bad dependency coefficients")
     # exact dependency identity
     for t in range(orders[0].rank):
         acc = basis.zero
@@ -425,16 +410,14 @@ def _verify_dependent(orders: list[OrderSpec], cert: Certificate) -> bool:
     return (forms[k].value(hi_k) - lower_sum).sign() < 0
 
 
-def _verify_rational_kernel(
-    orders: list[OrderSpec], cert: Certificate, scan_box: int
-) -> bool:
+def _verify_rational_kernel(orders: list[OrderSpec], cert: Certificate) -> bool:
     ev = cert.evidence
     i = ev["order"]
-    basis = [tuple(b) for b in ev["kernel_basis"]]
+    basis = ev["kernel_basis"]
     inner: Certificate = ev["inner"]
-    if not (0 <= i < len(orders)) or not basis:
-        raise MalformedCertificateError("bad kernel evidence")
     m = orders[0].rank
+    if not (0 <= i < len(orders)) or not basis or any(len(b) != m for b in basis):
+        raise MalformedCertificateError("bad kernel evidence")
     c_i = orders[i].leading
     for b in basis:
         if not c_i.value(b).is_zero():
@@ -443,7 +426,8 @@ def _verify_rational_kernel(
         full = kernel_lattice(c_i, m)
     except ValueError:
         return False
-    if not same_lattice(basis, full):
+    # A spanning set as large as the kernel's rank is a basis of it.
+    if len(basis) != len(full) or not same_lattice(basis, full):
         return False
     lo_i, hi_i = cert.constraints.bounds[i]
     if lo_i is None or hi_i is None:
@@ -452,29 +436,29 @@ def _verify_rational_kernel(
         return False
     order_map = [j for j in range(len(orders)) if j != i]
     pulled = [_pullback_order(orders[j], basis) for j in order_map]
-    for pos, j in enumerate(order_map):
-        in_lo, in_hi = inner.constraints.bounds[pos]
-        if cert.constraints.bounds[j] != (_lift(in_lo, basis), _lift(in_hi, basis)):
-            return False
-    return verify_certificate(pulled, inner, scan_box=scan_box)
+    # The inner check fits its intervals to the pulled-back orders, so only
+    # then are its endpoints safe to lift.
+    if not verify_certificate(pulled, inner):
+        return False
+    return all(
+        cert.constraints.bounds[j] == (_lift(lo, basis), _lift(hi, basis))
+        for j, (lo, hi) in zip(order_map, inner.constraints.bounds)
+    )
 
 
 def _verify_small_volume(orders: list[OrderSpec], cert: Certificate) -> bool:
-    ev = cert.evidence
-    n = len(orders)
-    if n != orders[0].rank or len(ev["widths"]) != n:
-        raise MalformedCertificateError("bad small-volume evidence")
+    if len(orders) != orders[0].rank:
+        return False
     forms = [o.leading for o in orders]
     det = fs_det([f.coeffs for f in forms])
-    if not (det - ev["det"]).is_zero() or det.is_zero():
+    if det.is_zero():
         return False
-    basis = forms[0].basis
-    prod = basis.one
-    for i, (lo, hi) in enumerate(cert.constraints.bounds):
+    prod = forms[0].basis.one
+    for f, (lo, hi) in zip(forms, cert.constraints.bounds):
         if lo is None or hi is None:
             return False
-        width = forms[i].value(vec_sub(hi, lo))
-        if width.sign() <= 0 or not (width - ev["widths"][i]).is_zero():
+        width = f.value(vec_sub(hi, lo))
+        if width.sign() <= 0:
             return False
         prod = prod * width
     absdet = det if det.sign() > 0 else -det
@@ -485,48 +469,37 @@ def _verify_small_volume(orders: list[OrderSpec], cert: Certificate) -> bool:
 
 
 def _verify_discrete_base(orders: list[OrderSpec], cert: Certificate) -> bool:
-    ev = cert.evidence
-    i = ev["order"]
-    if len(ev["pair"]) != 2:
-        raise MalformedCertificateError("field 'pair' must hold two vectors")
-    a, b = (tuple(ev["pair"][0]), tuple(ev["pair"][1]))
-    if orders[0].rank != 1 or not (0 <= i < len(orders)) or len(a) != 1 or len(b) != 1:
-        raise MalformedCertificateError("bad discrete-base evidence")
-    if abs(b[0] - a[0]) != 1:
-        return False
-    if orders[i].compare(a, b) != Cmp.LESS:
-        return False
-    return cert.constraints.bounds[i] == (a, b)
+    i = cert.evidence["order"]
+    if not 0 <= i < len(orders):
+        raise MalformedCertificateError("bad discrete-base order")
+    # The intervals are validated, so lo lies below hi in order i; on Z they
+    # are neighbours when they differ by one.
+    lo, hi = cert.constraints.bounds[i]
+    return orders[0].rank == 1 and None not in (lo, hi) and abs(hi[0] - lo[0]) == 1
 
 
-def verify_certificate(
-    orders: list[OrderSpec], cert: Certificate, scan_box: int = DEFAULT_SCAN_BOX
-) -> bool:
+_VERIFIERS = {
+    TAG_DEPENDENT: _verify_dependent,
+    TAG_RATIONAL_KERNEL: _verify_rational_kernel,
+    TAG_SMALL_VOLUME: _verify_small_volume,
+    TAG_DISCRETE_BASE: _verify_discrete_base,
+}
+
+
+def verify_certificate(orders: list[OrderSpec], cert: Certificate) -> bool:
     """Exact, refuter-independent validation of a certificate, plus a
-    box-bounded brute scan confirming no common point exists."""
+    box-bounded brute scan confirming no common point exists.
+
+    Intervals that do not fit the orders make a certificate invalid;
+    malformed evidence or an unknown tag raises MalformedCertificateError.
+    """
     m = _common_rank(orders)
-    _check_bounds_shape(orders, cert)
-    for (lo, hi), o in zip(cert.constraints.bounds, orders):
-        if lo is not None and hi is not None and o.compare(lo, hi) != Cmp.LESS:
-            return False
-    if cert.lemma_tag == TAG_DEPENDENT:
-        ok = _verify_dependent(orders, cert)
-    elif cert.lemma_tag == TAG_RATIONAL_KERNEL:
-        ok = _verify_rational_kernel(orders, cert, scan_box)
-    elif cert.lemma_tag == TAG_SMALL_VOLUME:
-        ok = _verify_small_volume(orders, cert)
-    elif cert.lemma_tag == TAG_DISCRETE_BASE:
-        ok = _verify_discrete_base(orders, cert)
-    else:
-        raise MalformedCertificateError(f"unknown lemma tag {cert.lemma_tag!r}")
-    if not ok:
+    try:
+        cert.constraints.validate(MultiOrder(m, tuple(orders)))
+    except MalformedConstraintError:
         return False
-    return scan_box_empty(orders, cert.constraints.bounds, _sanity_box(m, scan_box))
-
-
-def scan_box_empty(
-    orders: list[OrderSpec],
-    bounds: tuple[tuple[IntVec | None, IntVec | None], ...],
-    box: int,
-) -> bool:
-    return scan_box(orders, bounds, box) is None
+    if cert.lemma_tag not in _VERIFIERS:
+        raise MalformedCertificateError(f"unknown lemma tag {cert.lemma_tag!r}")
+    if not _VERIFIERS[cert.lemma_tag](orders, cert):
+        return False
+    return scan_box(orders, cert.constraints.bounds, _sanity_box(m)) is None

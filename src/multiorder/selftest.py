@@ -106,7 +106,7 @@ def _refuter_suite() -> bool:
     ]
     for orders in cases:
         cert = refute(orders)
-        if not verify_certificate(orders, cert, scan_box=20):
+        if not verify_certificate(orders, cert):
             return False
     return True
 

@@ -62,8 +62,6 @@ def _scalar(obj) -> FieldScalar:
 
 def _decode(ev, key: str, kind):
     """Evidence field key, decoded and type-checked as its declared kind."""
-    if kind is FieldScalar:
-        return _scalar(_field(ev, key, dict))
     if kind is Certificate:
         return certificate_from_json(_field(ev, key, dict))
     if kind == [FieldScalar]:

@@ -1,9 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 import re
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiorder import cli
 from multiorder.cli import (
@@ -19,6 +24,97 @@ from multiorder.genericity import IntervalConstraint, MultiOrder, from_matrix, s
 from multiorder.matrix import build
 from multiorder.orders import LinearForm, OrderSpec
 from multiorder.field import PrecisionExceededError, RadicalBasis, fs_cofactors
+from multiorder.lattice import iter_box
+from multiorder.refuter import refute
+from multiorder.serialize import certificate_to_json
+
+
+B23 = RadicalBasis((2, 3))
+# Small orders on which refute gives each lemma tag.
+INSTANCES = {
+    "dependent": [
+        OrderSpec(2, (LinearForm((B23.one, B23.sqrt(2))),)),
+        OrderSpec(2, (LinearForm((B23.sqrt(2), B23.rational(2))),)),
+    ],
+    "small_volume": [
+        OrderSpec(2, (LinearForm((B23.one, B23.sqrt(2))),)),
+        OrderSpec(2, (LinearForm((B23.sqrt(3), B23.one)),)),
+    ],
+    "discrete": [OrderSpec(1, (LinearForm((B23.one,)),))],
+    "rational_kernel": [
+        OrderSpec(2, (LinearForm((B23.one, B23.one)), LinearForm((B23.zero, B23.one)))),
+        OrderSpec(2, (LinearForm((B23.one, B23.sqrt(2))),)),
+    ],
+}
+# What refute gave on INSTANCES while certificates also carried k, reversed,
+# det, widths and pair.
+OLD_SHAPE_CERTIFICATES = {
+    "dependent": (
+        '{"lemma_tag": "Dependent", "constraints": [{"lower": [0, 0], "upper": [-1, 1]}, '
+        '{"lower": [-2, -2], "upper": [-1, -1]}], "evidence": {"k": 1, "coeffs": '
+        '[{"basis": [2, 3], "terms": [{"radicand": 2, "num": 1, "den": 1}]}], '
+        '"reversed": [false]}}'
+    ),
+    "small_volume": (
+        '{"lemma_tag": "SmallVolume", "constraints": [{"lower": [0, 0], "upper": [-1, 1]}, '
+        '{"lower": [0, 0], "upper": [-1, 2]}], "evidence": {"det": {"basis": [2, 3], '
+        '"terms": [{"radicand": 1, "num": 1, "den": 1}, {"radicand": 6, "num": -1, '
+        '"den": 1}]}, "widths": [{"basis": [2, 3], "terms": [{"radicand": 1, "num": -1, '
+        '"den": 1}, {"radicand": 2, "num": 1, "den": 1}]}, {"basis": [2, 3], "terms": '
+        '[{"radicand": 1, "num": 2, "den": 1}, {"radicand": 3, "num": -1, "den": 1}]}]}}'
+    ),
+    "discrete": (
+        '{"lemma_tag": "DiscreteBase", "constraints": [{"lower": [0], "upper": [1]}], '
+        '"evidence": {"order": 0, "pair": [[0], [1]]}}'
+    ),
+    "rational_kernel": (
+        '{"lemma_tag": "RationalKernel", "constraints": [{"lower": [0, 0], "upper": '
+        '[-1, 1]}, {"lower": [0, 0], "upper": [-1, 1]}], "evidence": {"order": 0, '
+        '"kernel_basis": [[-1, 1]], "inner": {"lemma_tag": "DiscreteBase", '
+        '"constraints": [{"lower": [0], "upper": [1]}], "evidence": {"order": 0, '
+        '"pair": [[0], [1]]}}}}'
+    ),
+}
+# Values a mutation puts in place of one JSON node.
+REPLACEMENTS = [None, True, False, 0, 1, -1, 10**30, 1.5, "x", "-inf", [], [[0]], {}]
+FUZZ_EXAMPLES = 1500
+
+
+def json_paths(node, path=()):
+    """The key path of every node below the root of a JSON tree."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def mutate(obj, data) -> None:
+    """One drawn mutation of a JSON tree, in place: replace a node, delete a
+    key, or truncate or duplicate into a list."""
+    *head, key = data.draw(st.sampled_from(list(json_paths(obj))))
+    parent = obj
+    for k in head:
+        parent = parent[k]
+    node = parent[key]
+    actions = ["replace"]
+    if isinstance(parent, dict):
+        actions.append("delete")
+    if isinstance(node, list) and node:
+        actions += ["truncate", "duplicate"]
+    action = data.draw(st.sampled_from(actions))
+    if action == "replace":
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(REPLACEMENTS)))
+    elif action == "delete":
+        del parent[key]
+    elif action == "truncate":
+        parent[key] = node[: data.draw(st.integers(0, len(node) - 1))]
+    else:
+        node.append(copy.deepcopy(data.draw(st.sampled_from(node))))
 
 
 def invoke(capsys, argv):
@@ -291,46 +387,43 @@ class TestRefuteVerify:
         assert code == EXIT_CERT_INVALID
         assert lines[0]["valid"] is False
 
+    # Rows named after an evidence field that certificates no longer carry
+    # (widths, det, k, pair) keep its kind check on a field that remains.
     @pytest.mark.parametrize(
         "orders, tag, corrupt",
         [
-            ("small_volume", "SmallVolume", lambda c: c["evidence"].update(widths=None)),
-            ("dependent", "Dependent", lambda c: c["evidence"].update(k="1")),
+            ("dependent", "Dependent", lambda c: c["evidence"].update(coeffs=None)),
+            ("dependent", "Dependent", lambda c: c["evidence"].update(coeffs=["1"])),
             ("dependent", "Dependent", lambda c: c.pop("evidence")),
-            ("small_volume", "SmallVolume", lambda c: c["evidence"].update(det=3)),
-            ("discrete", "DiscreteBase", lambda c: c["evidence"].update(pair=[[0], 1])),
+            ("dependent", "Dependent", lambda c: c["evidence"].update(coeffs=[3])),
+            ("discrete", "DiscreteBase", lambda c: c["evidence"].update(order="0")),
             ("dependent", "Dependent", lambda c: c["constraints"][0].update(lower=[None, 1])),
-            ("small_volume", "SmallVolume",
-             lambda c: c["evidence"]["det"]["terms"][0].update(den=0)),
-            ("discrete", "DiscreteBase", lambda c: c["evidence"].update(pair=[[0]])),
-            ("discrete", "DiscreteBase",
-             lambda c: c["evidence"].update(pair=[[0], [1], [2]])),
+            ("dependent", "Dependent",
+             lambda c: c["evidence"]["coeffs"][0]["terms"][0].update(den=0)),
+            ("discrete", "DiscreteBase", lambda c: c["evidence"].update(order=1)),
+            ("discrete", "DiscreteBase", lambda c: c["evidence"].update(order=-1)),
             ("rational_kernel", "RationalKernel", lambda c: c["evidence"].pop("inner")),
             ("rational_kernel", "RationalKernel",
              lambda c: c["evidence"].update(kernel_basis=[[1.5, -1]])),
             ("dependent", "Dependent", lambda c: c.update(lemma_tag="Nonsense")),
+            ("rational_kernel", "RationalKernel",
+             lambda c: c["evidence"]["inner"]["constraints"].pop()),
+            ("rational_kernel", "RationalKernel",
+             lambda c: c["evidence"]["inner"]["constraints"][0].update(lower=[])),
+            ("rational_kernel", "RationalKernel",
+             lambda c: c["evidence"].update(kernel_basis=[[]])),
+            ("rational_kernel", "RationalKernel",
+             lambda c: c["evidence"].update(kernel_basis=[[-1, 1], [-1, 1]])),
+            ("dependent", "Dependent",
+             lambda c: c["evidence"]["coeffs"][0].update(basis=[2, 3, 5])),
         ],
         ids=["widths-null", "k-string", "no-evidence", "det-int", "pair-int", "endpoint-null",
-             "den-zero", "pair-one", "pair-three", "no-inner", "basis-float", "unknown-tag"],
+             "den-zero", "pair-one", "pair-three", "no-inner", "basis-float", "unknown-tag",
+             "inner-short", "inner-endpoint-short", "basis-vector-short",
+             "basis-vector-repeated", "coeff-other-basis"],
     )
     def test_malformed_cert_is_invalid(self, capsys, tmp_path, orders, tag, corrupt):
-        b = RadicalBasis((2, 3))
-        lists = {
-            "dependent": [
-                OrderSpec(2, (LinearForm((b.one, b.sqrt(2))),)),
-                OrderSpec(2, (LinearForm((b.sqrt(2), b.rational(2))),)),
-            ],
-            "small_volume": [
-                OrderSpec(2, (LinearForm((b.one, b.sqrt(2))),)),
-                OrderSpec(2, (LinearForm((b.sqrt(3), b.one)),)),
-            ],
-            "discrete": [OrderSpec(1, (LinearForm((b.one,)),))],
-            "rational_kernel": [
-                OrderSpec(2, (LinearForm((b.one, b.one)), LinearForm((b.zero, b.one)))),
-                OrderSpec(2, (LinearForm((b.one, b.sqrt(2))),)),
-            ],
-        }
-        ofile = write_json(tmp_path, "o.json", [o.to_json() for o in lists[orders]])
+        ofile = write_json(tmp_path, "o.json", [o.to_json() for o in INSTANCES[orders]])
         _, lines = invoke(capsys, ["refute", "--orders", ofile])
         cert = lines[0]["certificate"]
         assert cert["lemma_tag"] == tag
@@ -341,6 +434,49 @@ class TestRefuteVerify:
         )
         assert code == EXIT_CERT_INVALID
         assert lines == [{"schema": 1, "valid": False}]
+
+    @pytest.mark.parametrize("orders", sorted(OLD_SHAPE_CERTIFICATES))
+    def test_old_shape_certificate_verifies(self, capsys, tmp_path, orders):
+        # Certificates that still carry the evidence fields k, reversed, det,
+        # widths and pair: the decoder ignores keys it does not declare.
+        ofile = write_json(tmp_path, "o.json", [o.to_json() for o in INSTANCES[orders]])
+        cfile = tmp_path / "old.json"
+        cfile.write_text(OLD_SHAPE_CERTIFICATES[orders])
+        code, lines = invoke(
+            capsys, ["verify-cert", "--orders", ofile, "--cert", str(cfile)]
+        )
+        assert (code, lines) == (EXIT_OK, [{"schema": 1, "valid": True}])
+
+    def test_mutated_certificates_never_crash(self, tmp_path):
+        # One mutation of a valid certificate: verify-cert exits 0 or 4 and
+        # never raises, and a certificate it accepts leaves the box empty.
+        cases = []
+        for name, orders in INSTANCES.items():
+            ofile = write_json(tmp_path, f"{name}.json", [o.to_json() for o in orders])
+            cert = certificate_to_json(refute(orders))
+            cases.append((orders, ofile, cert))
+        cfile = tmp_path / "mutated.json"
+
+        @settings(max_examples=FUZZ_EXAMPLES, deadline=None, derandomize=True,
+                  database=None)
+        @given(st.data())
+        def check(data):
+            orders, ofile, cert = data.draw(st.sampled_from(cases))
+            cert = copy.deepcopy(cert)
+            mutate(cert, data)
+            cfile.write_text(json.dumps(cert))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = run(["verify-cert", "--orders", ofile, "--cert", str(cfile)])
+            assert code in (EXIT_OK, EXIT_CERT_INVALID)
+            if code == EXIT_OK:
+                m = orders[0].rank
+                M = MultiOrder(m, tuple(orders))
+                cons = IntervalConstraint.from_json(cert["constraints"])
+                assert not any(satisfies(M, cons, z) for z in iter_box(m, 6))
+
+        check()
 
     def test_no_certificate_reported(self, capsys, tmp_path):
         b = RadicalBasis((2,))

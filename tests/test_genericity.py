@@ -129,6 +129,14 @@ class TestWitness:
         with pytest.raises(NoDirectionError):
             witness(M, IntervalConstraint((((0,), None),)))
 
+    def test_repeated_order_walks_from_least_squares_anchor(self, m3):
+        # The anchor system is square but singular: two equal leading forms.
+        M = MultiOrder(3, (m3.orders[0], m3.orders[0]), m3.direction)
+        cons = IntervalConstraint((((0, 0, 0), (5, 5, 5)), (None, None)))
+        res = find_witness(M, cons)
+        assert res.backend == "line"
+        assert satisfies(M, cons, res.point)
+
     def test_deterministic(self, m3):
         rng = random.Random(11)
         cons = random_finite_constraint(m3, rng)

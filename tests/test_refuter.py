@@ -159,7 +159,7 @@ class TestDispatch:
         orders = [dense((ONE, S2)), dense((-ONE, -S2 * 1))]
         cert = refute(orders)
         assert cert.lemma_tag == TAG_DEPENDENT
-        assert cert.evidence["reversed"] == [True]
+        assert cert.evidence["coeffs"][0].sign() < 0
         assert verify_certificate(orders, cert)
 
     def test_three_orders_sum_dependency(self):
@@ -170,7 +170,7 @@ class TestDispatch:
         orders = [o1, o2, OrderSpec(2, (c3,))]
         cert = refute(orders)
         assert cert.lemma_tag == TAG_DEPENDENT
-        assert cert.evidence["k"] == 2
+        assert len(cert.evidence["coeffs"]) == 2
         assert verify_certificate(orders, cert)
 
     def test_pinned_rational_kernel_certificate(self):
@@ -184,20 +184,20 @@ class TestDispatch:
         assert cert.evidence["inner"].lemma_tag == TAG_SMALL_VOLUME
         text = json.dumps(certificate_to_json(cert), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "7750b9d70eb165ab793f03e4dafea0160c5e8d86f2cac85349d82e97784c7b05"
+            "05b78567aec1248be9df1e2e6a58308dbbd8fef13bc57e716f6e4036151698c9"
         )
-        assert verify_certificate(orders, cert, scan_box=20)
+        assert verify_certificate(orders, cert)
 
     @pytest.mark.parametrize(
         "orders, tag, digest",
         [
             (pinned_dependent(), TAG_DEPENDENT,
-             "583c2704ae6565bf456c0b5f7e5880859f331c417f8f6124c045c393d0db3c27"),
+             "c6fb6b499ab1b1d517565560256b42aac54b015c3a1d3530b3a9bb3c0af8e9ea"),
             ([dense((ONE, S2, S5)), dense((S3, ONE, S2)), dense((S5, S3, ONE))],
              TAG_SMALL_VOLUME,
-             "ace2733dd26194b281696e1be5faf60545f83abbee67a42dea0185d358bb7c6f"),
+             "68bba12741ab4405e91b7f57a2bb1dc044b8ccdb494c5e458808a5f0d83c6358"),
             ([OrderSpec(1, (LinearForm((-ONE,)),))], TAG_DISCRETE_BASE,
-             "ee328aff02ac6a85b7aa284b291273c06cc5b327c7d904a98e87428834112842"),
+             "41cc8e6e6157a2f66c20f0c989ac1171b6b268f22c483b09f5a131439e87aac1"),
         ],
         ids=[TAG_DEPENDENT, TAG_SMALL_VOLUME, TAG_DISCRETE_BASE],
     )
@@ -206,7 +206,7 @@ class TestDispatch:
         assert cert.lemma_tag == tag
         text = json.dumps(certificate_to_json(cert), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
-        assert verify_certificate(orders, cert, scan_box=20)
+        assert verify_certificate(orders, cert)
 
     def test_no_certificate_for_single_dense_order(self):
         with pytest.raises(NoCertificateFound):
@@ -225,7 +225,7 @@ class TestRandomInstances:
             orders = gen_dependent(rng, m)
             cert = refute(orders)
             assert cert.lemma_tag == TAG_DEPENDENT
-            assert verify_certificate(orders, cert, scan_box=20)
+            assert verify_certificate(orders, cert)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_rational_kernel_instances(self, m):
@@ -234,7 +234,7 @@ class TestRandomInstances:
             orders = gen_rational_kernel(rng, m)
             cert = refute(orders)
             assert cert.lemma_tag == TAG_RATIONAL_KERNEL
-            assert verify_certificate(orders, cert, scan_box=20)
+            assert verify_certificate(orders, cert)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_small_volume_instances(self, m):
@@ -242,7 +242,7 @@ class TestRandomInstances:
         orders = gen_small_volume(rng, m)
         cert = refute(orders)
         assert cert.lemma_tag == TAG_SMALL_VOLUME
-        assert verify_certificate(orders, cert, scan_box=20)
+        assert verify_certificate(orders, cert)
 
 
 class TestVerification:
