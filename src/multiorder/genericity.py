@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .lattice import IntVec, filter_margin, first_in_box, gamma
+from .lattice import IntVec, filter_margin, first_in_box
 from .matrix import OrderMatrix
 from .orders import Cmp, LinearForm, OrderSpec
 
@@ -164,7 +164,7 @@ def _float_windows(
     and per row the bound for the windows' finite endpoints."""
     forms = [o.leading for o in M.orders]
     C = np.array([f.floats() for f in forms], dtype=float)
-    W = np.array([f.float_errors() for f in forms]) + gamma(M.rank + 1) * np.abs(C)
+    W = np.array([f.weights() for f in forms])
     lo = np.full(M.n, -np.inf)
     hi = np.full(M.n, np.inf)
     ends = np.zeros(M.n)
@@ -256,6 +256,8 @@ def find_witness(
 
     chunk = 8192
     probes = 0
+    # Above 2^53 many probes round to one point; check each point once.
+    checked: set[IntVec] = set()
     while probes < probe_budget:
         count = min(chunk, probe_budget - probes)
         ts = _t_schedule(probes, count)
@@ -267,6 +269,9 @@ def find_witness(
         mask = np.all((V - lo >= -S) & (V - hi <= S), axis=1)
         for idx in np.flatnonzero(mask):
             z = tuple(int(v) for v in Z[idx])
+            if z in checked:
+                continue
+            checked.add(z)
             if satisfies(M, cons, z):
                 return WitnessResult(z, probes + int(idx) + 1, "line")
         probes += count

@@ -168,7 +168,8 @@ def filter_margin(W: np.ndarray, X) -> np.ndarray:
                     <= sum_j (e_j + gamma_{m+1} |c'_j|) |x_j| = E(x)
 
     (Higham, "Accuracy and Stability of Numerical Algorithms", 3.1).  So
-    genericity builds the weights w_j = e_j + gamma_{m+1} |c'_j|.  A float
+    the weights are w_j = e_j + gamma_{m+1} |c'_j| (LinearForm.weights),
+    and LinearForm.sign_at applies the same bound to one sign.  A float
     held probe needs no conversion, which leaves its bound with room to
     spare.  A product with a subnormal c'_j errs by up to 2^-1075, which
     e_j includes; an overflow makes numpy warn.  Computing the bound rounds it down by a

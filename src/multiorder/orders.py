@@ -18,7 +18,7 @@ from .field import (
     radicand_rows,
     rational_rank,
 )
-from .lattice import IntVec, iter_box, vec_sub
+from .lattice import _MARGIN_ROUNDING, IntVec, gamma, iter_box, vec_sub
 
 
 class Cmp(IntEnum):
@@ -52,7 +52,7 @@ class BoundExhaustedError(RuntimeError):
 class LinearForm:
     """A nonzero vector of field scalars, paired with lattice vectors by dot."""
 
-    __slots__ = ("coeffs", "_floats", "_errors")
+    __slots__ = ("coeffs", "_floats", "_errors", "_weights")
 
     def __init__(self, coeffs: tuple[FieldScalar, ...]):
         coeffs = tuple(coeffs)
@@ -67,6 +67,7 @@ class LinearForm:
         self.coeffs = coeffs
         self._floats: tuple[float, ...] | None = None
         self._errors: tuple[float, ...] | None = None
+        self._weights: tuple[float, ...] | None = None
 
     @property
     def basis(self) -> RadicalBasis:
@@ -107,6 +108,36 @@ class LinearForm:
                 errors.append(math.nextafter(e, math.inf))
             self._errors = tuple(errors)
         return self._errors
+
+    def weights(self) -> tuple[float, ...]:
+        """The weights w_j = e_j + gamma_{m+1} |floats()[j]| of the filter
+        bound E(x) = sum_j w_j |x_j| (lattice.filter_margin)."""
+        if self._weights is None:
+            g = gamma(self.rank + 1)
+            self._weights = tuple(
+                e + g * abs(c) for e, c in zip(self.float_errors(), self.floats())
+            )
+        return self._weights
+
+    def sign_at(self, z: IntVec) -> int:
+        """Exact sign of value(z), in exact arithmetic only near a tie.
+
+        The float dot product v of floats() and z is within E(z) of value(z)
+        (lattice.filter_margin), so |v| > E(z) proves the sign of v.  A
+        finite v means that no partial sum overflowed; an infinite E(z)
+        never passes.  Otherwise, and for |z_j| beyond the float range
+        (OverflowError), the sign is value(z).sign().
+        """
+        v = e = 0.0
+        try:
+            for c, w, x in zip(self.floats(), self.weights(), z):
+                v += c * x
+                e += w * abs(x)
+        except OverflowError:
+            return self.value(z).sign()
+        if e * _MARGIN_ROUNDING < abs(v) < math.inf:
+            return 1 if v > 0 else -1
+        return self.value(z).sign()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs
@@ -161,7 +192,7 @@ class OrderSpec:
             raise RankMismatchError("vector rank differs from order rank")
         diff = vec_sub(x, y)
         for f in self.forms:
-            s = f.value(diff).sign()
+            s = f.sign_at(diff)
             if s:
                 return Cmp.LESS if s < 0 else Cmp.GREATER
         return Cmp.EQUAL

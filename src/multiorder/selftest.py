@@ -10,6 +10,7 @@ from fractions import Fraction
 from .field import RadicalBasis
 from .finite import from_pattern, embed, induced, pattern_of
 from .genericity import extension_property_test, from_matrix
+from .lattice import vec_sub
 from .matrix import build, verify
 from .orders import Cmp, Cone, LinearForm, OrderSpec
 from .refuter import refute, verify_certificate
@@ -62,6 +63,17 @@ def _orders_suite(rng: random.Random, rounds: int) -> bool:
                 return False
             if c != Cmp(-int(o.compare(y, x))):
                 return False
+    # Near-ties of the dense order: x - y = (p, -q) for the convergents p/q
+    # of sqrt 2, where |p - q sqrt 2| < 1/q.  compare decides the first ones
+    # in floats and goes exact from q ~ 2e7 on; both routes must agree with
+    # the exact sign.
+    p, q = 1, 1
+    for _ in range(rounds):
+        y = tuple(rng.randint(-20, 20) for _ in range(2))
+        for x in ((y[0] + p, y[1] - q), (y[0] - p - 1, y[1] + q)):
+            if int(dense.compare(x, y)) != dense.leading.value(vec_sub(x, y)).sign():
+                return False
+        p, q = p + 2 * q, p + q
     for _ in range(rounds):
         p = tuple(rng.randint(-5, 5) for _ in range(2))
         if dense.cone_membership(p) == Cone.POSITIVE:

@@ -145,6 +145,20 @@ def witness_files(m2_file, cons_file):
     return ["witness", "--multiorder", m2_file, "--constraints", cons_file]
 
 
+def dependent_orders_file(tmp_path):
+    """The orders (1, sqrt 2) and (sqrt 2, 2) of CI, whose Dependent
+    certificate rests on exact signs of irrationals."""
+    b = RadicalBasis((2,))
+    o1 = OrderSpec(2, (LinearForm((b.one, b.sqrt(2))),))
+    o2 = OrderSpec(2, (LinearForm((b.sqrt(2), b.rational(2))),))
+    return write_json(tmp_path, "orders.json", [o1.to_json(), o2.to_json()])
+
+
+@pytest.fixture()
+def refute_files(tmp_path):
+    return ["refute", "--orders", dependent_orders_file(tmp_path)]
+
+
 class TestGlobalOptions:
     @pytest.mark.parametrize(
         "option, message",
@@ -174,14 +188,19 @@ class TestGlobalOptions:
         ]
         assert documented == options
 
-    def test_exhausted_precision_cap(self, capsys, witness_files):
-        code = run(["--precision-cap", "32"] + witness_files)
+    def test_exhausted_precision_cap(self, capsys, refute_files, witness_files):
+        code = run(["--precision-cap", "32"] + refute_files)
         captured = capsys.readouterr()
         assert code == EXIT_BUDGET
         assert captured.out == ""
         assert captured.err.startswith("error: sign undecided")
         assert captured.err.count("\n") == 1
         assert RadicalBasis((2,)).sqrt(2).sign() == 1
+        # Every compare of this witness query passes the float filter, so
+        # the cap, which bounds only exact signs, never comes into play.
+        code, lines = invoke(capsys, ["--precision-cap", "32"] + witness_files)
+        assert code == EXIT_OK
+        assert lines[0]["witness"] is not None
 
     def test_cap_restored_when_command_raises(self, capsys, monkeypatch):
         sqrt2 = RadicalBasis((2,)).sqrt(2)
@@ -354,16 +373,8 @@ class TestWitness:
 
 
 class TestRefuteVerify:
-    def make_orders_file(self, tmp_path):
-        b = RadicalBasis((2,))
-        o1 = OrderSpec(2, (LinearForm((b.one, b.sqrt(2))),))
-        o2 = OrderSpec(2, (LinearForm((b.sqrt(2), b.rational(2))),))
-        return write_json(
-            tmp_path, "orders.json", [o1.to_json(), o2.to_json()]
-        )
-
     def test_refute_then_verify_roundtrip(self, capsys, tmp_path):
-        ofile = self.make_orders_file(tmp_path)
+        ofile = dependent_orders_file(tmp_path)
         code, lines = invoke(capsys, ["refute", "--orders", ofile])
         assert code == EXIT_OK
         cert = lines[0]["certificate"]
@@ -376,7 +387,7 @@ class TestRefuteVerify:
         assert lines[0]["valid"] is True
 
     def test_tampered_cert_exit_code(self, capsys, tmp_path):
-        ofile = self.make_orders_file(tmp_path)
+        ofile = dependent_orders_file(tmp_path)
         _, lines = invoke(capsys, ["refute", "--orders", ofile])
         cert = lines[0]["certificate"]
         cert["constraints"][1]["upper"] = [9, 9]
@@ -561,15 +572,19 @@ class TestUsageErrors:
         )
         assert code == EXIT_USAGE
 
-    def test_env_precision_cap(self, capsys, monkeypatch, witness_files):
+    def test_env_precision_cap(self, capsys, monkeypatch, refute_files, witness_files):
         for env_cap, want in [
             ("4096", EXIT_OK), ("32", EXIT_BUDGET), ("0", EXIT_USAGE), ("abc", EXIT_USAGE)
         ]:
             monkeypatch.setenv("MULTIORDER_PRECISION_CAP", env_cap)
             # The environment takes precedence over the flag.
-            code, _ = invoke(capsys, ["--precision-cap", "4096"] + witness_files)
+            code, _ = invoke(capsys, ["--precision-cap", "4096"] + refute_files)
             assert code == want, env_cap
             assert RadicalBasis((2,)).sqrt(2).sign() == 1
+        # A witness query that needs no exact sign succeeds under cap 32.
+        monkeypatch.setenv("MULTIORDER_PRECISION_CAP", "32")
+        code, _ = invoke(capsys, ["--precision-cap", "4096"] + witness_files)
+        assert code == EXIT_OK
 
     @pytest.mark.parametrize(
         "argv, bad",

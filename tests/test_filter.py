@@ -1,5 +1,6 @@
 """The certified float filter: its error bound holds, and near-ties go exact."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiorder.field import RadicalBasis
+from multiorder.field import FieldScalar, RadicalBasis, radicand_rows
 from multiorder.genericity import (
     IntervalConstraint,
     find_witness,
@@ -16,9 +17,9 @@ from multiorder.genericity import (
     from_matrix,
     satisfies,
 )
-from multiorder.lattice import filter_margin, gamma, iter_box
+from multiorder.lattice import filter_margin, gamma, int_kernel, iter_box
 from multiorder.matrix import build
-from multiorder.orders import LinearForm
+from multiorder.orders import Cmp, LinearForm, OrderSpec
 
 
 @lru_cache(maxsize=None)
@@ -42,10 +43,11 @@ ratio = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 
 
 @st.composite
-def drawn_forms(draw):
+def drawn_forms(draw, m=None):
     """Rows like the refuter's inputs: rational and radical coefficients,
     some with several terms, some zero."""
-    m = draw(st.integers(1, 5))
+    if m is None:
+        m = draw(st.integers(1, 5))
     radicands = st.sets(st.sampled_from(RADICANDS), max_size=3)
     coeffs = [RV.scalar({d: draw(ratio) for d in draw(radicands)}) for _ in range(m)]
     if all(c.is_zero() for c in coeffs):
@@ -53,7 +55,8 @@ def drawn_forms(draw):
     return LinearForm(tuple(coeffs))
 
 
-forms = st.deferred(lambda: st.sampled_from(built_forms())) | drawn_forms()
+built = st.deferred(lambda: st.sampled_from(built_forms()))
+forms = built | drawn_forms()
 # Up to 2^60 as the walk's probes reach, and beyond int64 for endpoints.
 coordinate = (
     st.integers(-(2**20), 2**20)
@@ -63,8 +66,7 @@ coordinate = (
 
 
 def weights(f):
-    C = np.array([f.floats()])
-    return C, np.array([f.float_errors()]) + gamma(f.rank + 1) * np.abs(C)
+    return np.array([f.floats()]), np.array([f.weights()])
 
 
 def within(f, z, value, margin):
@@ -91,6 +93,14 @@ class TestErrorBound:
         C, W = weights(f)
         point = tuple(int(x) for x in Z[0])
         assert within(f, point, (Z @ C.T)[0, 0], filter_margin(W, Z)[0, 0])
+
+    def test_weights_are_the_numpy_formula(self):
+        # LinearForm.weights gives the filters the same W, bit for bit, as
+        # the numpy formula the witness windows used before it existed.
+        for f in built_forms():
+            C = np.array([f.floats()])
+            W = np.array([f.float_errors()]) + gamma(f.rank + 1) * np.abs(C)
+            assert np.array([f.weights()]).tobytes() == W.tobytes()
 
     def test_errors_are_proven_and_small(self):
         for f in built_forms():
@@ -175,3 +185,139 @@ class TestNearTies:
             assert satisfies(M, cons, res.point)
             if n == 4:  # the walk's first probe is z0, right at both ends
                 assert (res.point, res.probes, res.backend) == (z0, 1, "line")
+
+
+# -- the filtered sign of LinearForm.sign_at and OrderSpec.compare --------------
+
+
+def convergents(d, count):
+    """The first count continued-fraction convergents (p, q) of sqrt(d), d
+    not a square: p - q sqrt(d) is about 1 / (2 q sqrt(d)) in size."""
+    a0 = math.isqrt(d)
+    m, den, a = 0, 1, a0
+    p0, q0, p1, q1 = 1, 0, a0, 1
+    out = [(p1, q1)]
+    while len(out) < count:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        out.append((p1, q1))
+    return out
+
+
+def counted_signs(monkeypatch):
+    """Count the exact FieldScalar.sign calls from here on."""
+    calls = []
+    exact = FieldScalar.sign
+
+    def sign(self):
+        calls.append(self)
+        return exact(self)
+
+    monkeypatch.setattr(FieldScalar, "sign", sign)
+    return calls
+
+
+def exact_compare(o, x, y):
+    """OrderSpec.compare without the filter: lexicographic exact signs."""
+    diff = tuple(a - b for a, b in zip(x, y))
+    s = next((s for s in (f.value(diff).sign() for f in o.forms) if s), 0)
+    return Cmp(s)
+
+
+class TestSignAt:
+    @settings(max_examples=300, deadline=None)
+    @given(forms, st.data())
+    def test_matches_exact_sign(self, f, data):
+        z = tuple(data.draw(st.lists(coordinate, min_size=f.rank, max_size=f.rank)))
+        assert f.sign_at(z) == f.value(z).sign()
+
+    @settings(max_examples=200, deadline=None)
+    @given(built, st.data())
+    def test_matches_exact_sign_near_ties(self, f, data):
+        # A multiple of a continued-fraction near-tie, plus a small offset.
+        k = data.draw(st.integers(1, f.rank - 1))
+        v = near_tie(f, k)
+        scale = data.draw(st.integers(-(10**6), 10**6))
+        shift = data.draw(st.lists(st.integers(-1, 1), min_size=f.rank, max_size=f.rank))
+        z = tuple(scale * x + s for x, s in zip(v, shift))
+        assert f.sign_at(z) == f.value(z).sign()
+
+    def test_zero_vector(self, monkeypatch):
+        calls = counted_signs(monkeypatch)
+        for f in built_forms():
+            assert f.sign_at((0,) * f.rank) == 0
+        assert len(calls) == len(built_forms())
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_convergents_of_square_roots(self, d, monkeypatch):
+        # (p, -q) is a near-tie of the form (1, sqrt d); the filter decides
+        # the small convergents and goes exact on the large ones.
+        f = LinearForm((RV.one, RV.sqrt(d)))
+        calls = counted_signs(monkeypatch)
+        exact = []
+        for p, q in convergents(d, 60):
+            for z in [(p, -q), (-p, q), (p + 1, -q), (p, -q - 1)]:
+                before = len(calls)
+                s = f.sign_at(z)
+                if len(calls) > before:
+                    exact.append(q)
+                assert s == f.value(z).sign()
+        assert exact and min(exact) > 10**6
+
+    def test_beyond_two_to_the_53(self):
+        f = LinearForm((RV.one, RV.sqrt(2), RV.sqrt(3)))
+        for p, q in convergents(2, 40)[25:]:
+            for z in [(p, -q, 0), (2**53 + 1, -(2**60), 2**54 - 3), (p * 2**60, -q * 2**60, 1)]:
+                assert f.sign_at(z) == f.value(z).sign()
+
+    def test_overflow_takes_the_exact_route(self):
+        f = LinearForm((RV.one, RV.sqrt(2)))
+        big = 10**309
+        for z in [(big, 0), (big, -big), (-big, 1), (1, big)]:
+            with pytest.raises(OverflowError):
+                float(max(z, key=abs))
+            assert f.sign_at(z) == f.value(z).sign()
+        assert f.sign_at((big, -big)) == -1
+        # Floats of 1e308 overflow no conversion, but their partial sum
+        # does: 1e308 + 1e308 is inf, though the exact value is negative.
+        wide = LinearForm((RV.rational(10**300),) * 4)
+        z = (10**8, 10**8, -(15 * 10**7), -(15 * 10**7))
+        assert wide.sign_at(z) == wide.value(z).sign() == -1
+
+    def test_rational_tie(self, monkeypatch):
+        # (1/3, 1/2) vanishes at (3, -2); (sqrt 2, sqrt 2) at (5, -5).
+        calls = counted_signs(monkeypatch)
+        tie = LinearForm((RV.rational(Fraction(1, 3)), RV.rational(Fraction(1, 2))))
+        assert tie.sign_at((3, -2)) == 0
+        assert tie.sign_at((3 * 10**20, -2 * 10**20)) == 0
+        assert LinearForm((RV.sqrt(2), RV.sqrt(2))).sign_at((5, -5)) == 0
+        assert len(calls) == 3
+        assert tie.sign_at((3, -1)) == 1 and len(calls) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(forms, st.data())
+    def test_compare_on_recursive_orders(self, lead, data):
+        # Up to two more forms after lead, then the coordinate forms, which
+        # make the order total.  The differences y - x include exact ties of
+        # lead (its kernel) and near-ties (near_tie).
+        m = lead.rank
+        more = data.draw(st.lists(drawn_forms(m), max_size=2))
+        unit = [LinearForm(tuple(RV.one if i == j else RV.zero for i in range(m)))
+                for j in range(m)]
+        o = OrderSpec(m, (lead, *more, *unit))
+        vector = st.lists(coordinate, min_size=m, max_size=m).map(tuple)
+        x = data.draw(vector)
+        offsets = [(0,) * m, data.draw(vector)]
+        rows = radicand_rows(lead.coeffs)
+        scale = math.lcm(*(q.denominator for row in rows for q in row))
+        kernel = int_kernel([[int(q * scale) for q in row] for row in rows])
+        k = data.draw(st.integers(1, 10**6))
+        offsets += [tuple(k * a for a in v) for v in kernel[:1]]
+        if lead in built_forms():
+            offsets.append(near_tie(lead, m - 1))
+        for off in offsets:
+            y = plus(x, off, -1)
+            assert o.compare(x, y) == exact_compare(o, x, y)
+            assert o.compare(y, x) == exact_compare(o, y, x)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiorder import genericity
 from multiorder.field import RadicalBasis
 from multiorder.genericity import (
     IntervalConstraint,
@@ -136,6 +137,27 @@ class TestWitness:
         res = find_witness(M, cons)
         assert res.backend == "line"
         assert satisfies(M, cons, res.point)
+
+    def test_one_exact_check_per_point(self, m3, monkeypatch):
+        # Above 2^53 many probes round to one point; each point is checked
+        # once, and the witness and its probe count stay as pinned by the
+        # CLI test of huge coordinates.
+        checked = []
+
+        def counted(M, cons, z):
+            checked.append(z)
+            return satisfies(M, cons, z)
+
+        monkeypatch.setattr(genericity, "satisfies", counted)
+        cons = IntervalConstraint(
+            (((10**20, 0, 0), None), (None, (10**20 + 5, 1, 0)))
+        )
+        res = find_witness(m3, cons)
+        assert len(checked) == len(set(checked))
+        assert res.point == (
+            98870961813840379904, -7855284390155188224, 7065663347481272320
+        )
+        assert (res.probes, res.backend) == (50819, "line")
 
     def test_deterministic(self, m3):
         rng = random.Random(11)
