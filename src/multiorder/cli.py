@@ -63,7 +63,7 @@ def _orders(obj: list) -> list[OrderSpec]:
 
 
 def _cmd_build_matrix(args: argparse.Namespace) -> int:
-    A = build(args.m, args.seed_value if args.seed_value is not None else args.seed)
+    A = build(args.m, args.seed)
     _emit({"matrix": A.to_json(), "verified": A.verified})
     return EXIT_OK
 
@@ -180,7 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-matrix", help="build and verify an order matrix")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, dest="seed_value", default=None)
     p.set_defaults(func=_cmd_build_matrix)
 
     p = sub.add_parser("witness", help="find a point meeting every interval")

@@ -19,7 +19,7 @@ class NotAnEmbeddingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteNOrder:
     """k points carrying n total orders, each stored as the sequence of
     labels in ascending order."""
@@ -29,9 +29,9 @@ class FiniteNOrder:
     orders: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "orders", tuple(tuple(o) for o in self.orders)
-        )
+        orders = self.orders
+        if type(orders) is not tuple or any(type(o) is not tuple for o in orders):
+            object.__setattr__(self, "orders", tuple(map(tuple, orders)))
         if len(self.orders) != self.n:
             raise ValueError("order count differs from n")
         for o in self.orders:
@@ -69,7 +69,7 @@ class FiniteNOrder:
         return FiniteNOrder(obj["k"], obj["n"], tuple(tuple(o) for o in obj["orders"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Embedding:
     """Label -> lattice point map realizing a finite n-order inside a
     multiorder."""

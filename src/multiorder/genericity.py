@@ -121,7 +121,7 @@ class IntervalConstraint:
         return IntervalConstraint(tuple(bounds))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessResult:
     point: IntVec
     probes: int
@@ -260,15 +260,15 @@ def find_witness(
     checked: set[IntVec] = set()
     while probes < probe_budget:
         count = min(chunk, probe_budget - probes)
-        ts = _t_schedule(probes, count)
-        Z = np.rint(p0[None, :] + ts[:, None] * d[None, :])
+        # One row per coordinate, one column per probe: few long numpy loops.
+        Z = np.rint(p0[:, None] + d[:, None] * _t_schedule(probes, count))
         # A probe is dropped only when it is certainly outside a window: its
         # value differs from an endpoint's by more than both error bounds.
-        V = Z @ C.T
-        S = filter_margin(W, Z) + ends
-        mask = np.all((V - lo >= -S) & (V - hi <= S), axis=1)
+        V = C @ Z
+        S = filter_margin(W, Z) + ends[:, None]
+        mask = np.all((V - lo[:, None] >= -S) & (V - hi[:, None] <= S), axis=0)
         for idx in np.flatnonzero(mask):
-            z = tuple(int(v) for v in Z[idx])
+            z = tuple(int(v) for v in Z[:, idx])
             if z in checked:
                 continue
             checked.add(z)

@@ -156,7 +156,7 @@ def filter_margin(W: np.ndarray, X) -> np.ndarray:
     """The error bound sum_j W[i, j] |X[j]| of every float filter, rounded up.
 
     W holds one row of weights per form, X one integer vector (or a stack
-    of them, or the corner (b, ..., b) of a box).  Take a form with exact
+    of them as columns, or the corner (b, ..., b) of a box).  Take a form with exact
     coefficients c_j, floats c'_j = LinearForm.floats() and proven e_j >=
     |c_j - c'_j| (LinearForm.float_errors), and an integer vector x of
     length m.  Converting x to floats rounds x_j by a relative u = 2^-53 at
@@ -182,7 +182,7 @@ def filter_margin(W: np.ndarray, X) -> np.ndarray:
     never dropped.  Open sides are -inf/+inf and margins are finite, so no
     inf - inf and no NaN ever arises.
     """
-    return (np.abs(np.asarray(X, dtype=float)) @ W.T) * _MARGIN_ROUNDING
+    return (W @ np.abs(np.asarray(X, dtype=float))) * _MARGIN_ROUNDING
 
 
 # -- the box-scan kernel ------------------------------------------------------

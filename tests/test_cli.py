@@ -187,6 +187,11 @@ class TestGlobalOptions:
             if s.startswith("--") and s != "--help"
         ]
         assert documented == options
+        # Each is declared once: no subcommand takes a global option again.
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        for name, p in sub.choices.items():
+            taken = {s for a in p._actions for s in a.option_strings}
+            assert not taken & set(options), name
 
     def test_exhausted_precision_cap(self, capsys, refute_files, witness_files):
         code = run(["--precision-cap", "32"] + refute_files)
@@ -218,7 +223,7 @@ class TestGlobalOptions:
 
 class TestBuildMatrix:
     def test_m2_seed0(self, capsys):
-        code, lines = invoke(capsys, ["build-matrix", "--m", "2", "--seed", "0"])
+        code, lines = invoke(capsys, ["--seed", "0", "build-matrix", "--m", "2"])
         assert code == EXIT_OK
         (payload,) = lines
         assert payload["schema"] == 1
@@ -226,21 +231,23 @@ class TestBuildMatrix:
         assert payload["matrix"]["m"] == 2
 
     def test_deterministic_stdout(self, capsys):
-        _, first = invoke(capsys, ["build-matrix", "--m", "3", "--seed", "2"])
-        _, second = invoke(capsys, ["build-matrix", "--m", "3", "--seed", "2"])
+        _, first = invoke(capsys, ["--seed", "2", "build-matrix", "--m", "3"])
+        _, second = invoke(capsys, ["--seed", "2", "build-matrix", "--m", "3"])
         assert first == second
 
     def test_bad_m_is_usage_error(self, capsys):
         code, _ = invoke(capsys, ["build-matrix", "--m", "1"])
         assert code == EXIT_USAGE
 
-    def test_negative_seed_is_usage_error(self, capsys):
-        # The subcommand's own --seed is checked as the global one is.
-        code = run(["build-matrix", "--m", "3", "--seed", "-1"])
+    def test_seed_is_global(self, capsys):
+        # The global --seed is the one seed; build-matrix has none of its own.
+        _, lines = invoke(capsys, ["--seed", "2", "build-matrix", "--m", "3"])
+        assert lines[0]["matrix"] == json.loads(json.dumps(build(3, 2).to_json()))
+        code = run(["build-matrix", "--m", "3", "--seed", "2"])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.out == ""
-        assert captured.err == "error: seed must be >= 0\n"
+        assert "unrecognized arguments: --seed 2" in captured.err
 
 
 class TestWitness:

@@ -87,12 +87,13 @@ class TestErrorBound:
     @settings(max_examples=300, deadline=None)
     @given(forms, st.data())
     def test_probe_value_within_bound(self, f, data):
-        # A probe: a float row, its integer point read back from the floats.
+        # A probe: a float column, as the walk holds it, its integer point
+        # read back from the floats.
         z = data.draw(st.lists(coordinate, min_size=f.rank, max_size=f.rank))
-        Z = np.array([z], dtype=float)
+        Z = np.array([z], dtype=float).T
         C, W = weights(f)
-        point = tuple(int(x) for x in Z[0])
-        assert within(f, point, (Z @ C.T)[0, 0], filter_margin(W, Z)[0, 0])
+        point = tuple(int(x) for x in Z[:, 0])
+        assert within(f, point, (C @ Z)[0, 0], filter_margin(W, Z)[0, 0])
 
     def test_weights_are_the_numpy_formula(self):
         # LinearForm.weights gives the filters the same W, bit for bit, as

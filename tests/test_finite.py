@@ -4,6 +4,7 @@ import random
 import pytest
 
 from multiorder.finite import (
+    Embedding,
     FiniteNOrder,
     NotAnEmbeddingError,
     amalgamate,
@@ -12,7 +13,7 @@ from multiorder.finite import (
     induced,
     pattern_of,
 )
-from multiorder.genericity import from_matrix
+from multiorder.genericity import WitnessResult, from_matrix
 from multiorder.matrix import build
 
 
@@ -75,6 +76,24 @@ class TestPattern:
         t = s.normalize()
         assert t.orders[0] == (0, 1, 2)
         assert s.isomorphic(t)
+
+
+class TestResultObjects:
+    def test_no_instance_dict(self):
+        # Slotted: an instance is about half the size of one with a __dict__.
+        for obj in (
+            FiniteNOrder(2, 1, ((1, 0),)),
+            Embedding(((0, 0),)),
+            WitnessResult((0, 0), 0, "line"),
+        ):
+            assert not hasattr(obj, "__dict__")
+
+    def test_orders_stored_as_tuples(self):
+        s = FiniteNOrder(3, 2, [[0, 1, 2], [2, 0, 1]])
+        assert s.orders == ((0, 1, 2), (2, 0, 1))
+        assert all(type(o) is tuple for o in s.orders)
+        orders = ((0, 1), (1, 0))
+        assert FiniteNOrder(2, 2, orders).orders is orders
 
 
 class TestInduced:

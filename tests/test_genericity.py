@@ -138,6 +138,18 @@ class TestWitness:
         assert res.backend == "line"
         assert satisfies(M, cons, res.point)
 
+    def test_budget_ends_in_brute_box(self, m3):
+        # Two copies of one order whose windows meet only in (99, 100): the
+        # walk holds the value at the anchor's least-squares 75, so all
+        # 10,000 probes (one full chunk and one partial) miss, and the
+        # brute box places the point.
+        M = MultiOrder(3, (m3.orders[0], m3.orders[0]), m3.direction)
+        cons = IntervalConstraint(
+            (((0, 0, 0), (27, 21, 25)), ((26, 21, 25), (28, 21, 25)))
+        )
+        res = find_witness(M, cons, probe_budget=10_000)
+        assert (res.point, res.probes, res.backend) == ((24, 24, 24), 10_000, "brute")
+
     def test_one_exact_check_per_point(self, m3, monkeypatch):
         # Above 2^53 many probes round to one point; each point is checked
         # once, and the witness and its probe count stay as pinned by the
@@ -331,6 +343,16 @@ GOLDEN_WITNESSES = [
      [-25812, 89658, -61180, -99961, 6119], 252),
     (5, [[[14884, -100009, 2277, 25782, -41763], [14881, -100011, 2273, 25783, -41759]], [[14877, -100007, 2275, 25789, -41767], [14874, -100008, 2271, 25793, -41766]], [[14877, -100004, 2276, 25782, -41764], [14873, -100007, 2275, 25783, -41761]], [[14882, -100004, 2271, 25789, -41767], [14881, -100008, 2275, 25788, -41766]]],
      [14880, -100006, 2273, 25785, -41763], 60),
+    # Planted further along the line: more than 4,000 probes each, and the
+    # last one in the walk's second chunk of 8192.
+    (3, [[[99771, 9919, 30354], [99736, 9956, 30344]], [[99744, 9884, 30396], [99711, 9868, 30422]]],
+     [99755, 9885, 30391], 4603),
+    (4, [[[-35750, -100852, 41365, -43413], [-35757, -100853, 41366, -43410]], [[-35740, -100858, 41376, -43422], [-35737, -100854, 41373, -43423]], [[-35747, -100854, 41372, -43420], [-35744, -100858, 41374, -43419]]],
+     [-35746, -100859, 41371, -43415], 5557),
+    (5, [[[-65159, 98224, -25427, -100899, -17431], [-65155, 98227, -25423, -100901, -17435]], [[-65159, 98225, -25422, -100901, -17434], [-65156, 98226, -25424, -100905, -17430]], [[-65155, 98227, -25426, -100901, -17433], [-65153, 98228, -25428, -100897, -17436]], [[-65156, 98226, -25423, -100906, -17430], [-65157, 98223, -25422, -100904, -17430]]],
+     [-65156, 98227, -25426, -100903, -17431], 5813),
+    (4, [[[45441, 2540, -97855, -26268], [45442, 2543, -97858, -26268]], [[45442, 2532, -97845, -26272], [45440, 2538, -97847, -26274]], [[45450, 2526, -97849, -26265], [45447, 2528, -97848, -26267]]],
+     [45446, 2533, -97847, -26272], 11464),
 ]
 
 # Narrow windows near the origin: m, box, the windows and the first point
