@@ -199,12 +199,11 @@ def witness_brute(
     return first_satisfying(M, cons, box)
 
 
-def _t_schedule(start: int, count: int) -> np.ndarray:
-    """The signed walk offsets 0, 1, -1, 2, -2, ... from probe index start."""
-    idx = np.arange(start, start + count)
-    k = (idx + 1) // 2
-    sign = np.where(idx == 0, 1, np.where(idx % 2 == 1, 1, -1))
-    return (k * sign).astype(float)
+# The walk's first chunk of signed offsets 0, 1, -1, 2, -2, ...; the chunk
+# from an even probe index s is _T0 + (s // 2) * _PARITY, exact below 2^53.
+_T0 = np.array([(j + 1) // 2 if j % 2 else -(j // 2) for j in range(8192)], float)
+_PARITY = np.where(np.arange(8192) % 2, 1.0, -1.0)
+_T0.flags.writeable = _PARITY.flags.writeable = False
 
 
 def brute_box(m: int) -> int:
@@ -254,14 +253,14 @@ def find_witness(
     except np.linalg.LinAlgError:  # fewer or more orders than m - 1, or dependent forms
         p0 = np.linalg.lstsq(system, rhs, rcond=None)[0]
 
-    chunk = 8192
     probes = 0
     # Above 2^53 many probes round to one point; check each point once.
     checked: set[IntVec] = set()
     while probes < probe_budget:
-        count = min(chunk, probe_budget - probes)
+        count = min(_T0.size, probe_budget - probes)
+        ts = _T0[:count] + (probes // 2) * _PARITY[:count]
         # One row per coordinate, one column per probe: few long numpy loops.
-        Z = np.rint(p0[:, None] + d[:, None] * _t_schedule(probes, count))
+        Z = np.rint(p0[:, None] + d[:, None] * ts)
         # A probe is dropped only when it is certainly outside a window: its
         # value differs from an endpoint's by more than both error bounds.
         V = C @ Z
@@ -326,8 +325,8 @@ def extension_property_test(
     multiorders use the accelerated finder; others fall back to bounded
     brute search, where NotFoundInBox is recorded as a failure.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if box < 0 or not 1 <= k <= (2 * box + 1) ** M.rank:
+        raise ValueError("need box >= 0 and 1 <= k <= (2 * box + 1)^m points")
     rng = random.Random(rng_seed)
     failures = []
     for _ in range(trials):

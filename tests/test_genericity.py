@@ -1,6 +1,8 @@
+import functools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from multiorder.genericity import (
 from multiorder.lattice import iter_box
 from multiorder.matrix import OrderMatrix, build
 from multiorder.orders import Cmp, LinearForm, OrderSpec
+from oracles import line_walk_reference, signed_walk
 
 B = RadicalBasis((2,))
 
@@ -258,6 +261,17 @@ class TestExtensionProperty:
         rep = extension_property_test(M, k=4, trials=60, box=6)
         assert rep.failures
 
+    def test_more_points_than_box_rejected(self, m2):
+        # The box [0, 0]^2 holds one point, so four distinct points can
+        # never be sampled; the sampler used to loop forever.
+        with pytest.raises(ValueError, match="k <="):
+            extension_property_test(m2, k=4, trials=1, box=0)
+
+    def test_negative_box_rejected(self, m2):
+        # Rejected before sampling, not by random.randrange's empty range.
+        with pytest.raises(ValueError, match="box >= 0"):
+            extension_property_test(m2, k=1, trials=1, box=-1)
+
     def test_dropping_order_stays_generic(self, m4):
         for i in range(m4.n):
             kept = tuple(o for j, o in enumerate(m4.orders) if j != i)
@@ -391,3 +405,90 @@ class TestGoldenWitnesses:
     @pytest.mark.parametrize("m, box, bounds, point", GOLDEN_BRUTE)
     def test_brute_pinned(self, hosts, m, box, bounds, point):
         assert list(witness_brute(hosts[m], _constraint(bounds), box)) == point
+
+
+# -- the line walk's probe schedule --------------------------------------------
+
+
+class TestProbeSchedule:
+    @pytest.mark.parametrize("name", ["_T0", "_PARITY"])
+    def test_read_only(self, name):
+        with pytest.raises(ValueError):
+            getattr(genericity, name)[0] = 7.0
+
+    @pytest.mark.parametrize(
+        "start, count",
+        [(0, 8192), (8192, 8192), (8192 * 121, 8192), (999_424, 576)],
+        ids=["first", "second", "chunk-121", "last-of-default-budget"],
+    )
+    def test_shifted_chunk_is_signed_walk(self, start, count):
+        # 999,424 = 122 * 8192: the 576 probes that end the default budget.
+        T0, parity = genericity._T0[:count], genericity._PARITY[:count]
+        ts = T0 + (start // 2) * parity
+        assert ts.tobytes() == signed_walk(start, count).tobytes()
+
+
+# -- the line walk against the reference walk ----------------------------------
+
+# m -> radius of the table of short vectors that set the windows' widths, and
+# the range of widths: narrow enough that many walks leave the first chunk.
+WALK_TABLES = {
+    2: (300, 1e-3, 1e-1),
+    3: (30, 1e-3, 1e-1),
+    4: (8, 1e-2, 0.3),
+    5: (4, 4e-2, 0.5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def walk_host(m, seed):
+    """A matrix-built host and, per order, the vectors of a box whose leading
+    value lies in (0, 1], sorted by that value."""
+    M = from_matrix(build(m, seed))
+    axis = np.arange(-WALK_TABLES[m][0], WALK_TABLES[m][0] + 1)
+    grid = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), -1).reshape(-1, m)
+    tables = []
+    for o in M.orders:
+        values = grid @ np.array(o.leading.floats())
+        idx = np.argsort(values)
+        idx = idx[(values[idx] > 1e-9) & (values[idx] <= 1.0)]
+        tables.append((values[idx], grid[idx]))
+    return M, tables
+
+
+@st.composite
+def walk_cases(draw):
+    """A host, one window per order of the drawn width around a centre near
+    the origin or far out, and a budget that may end in any chunk."""
+    m = draw(st.integers(2, 5))
+    M, tables = walk_host(m, draw(st.integers(0, 2)))
+    reach = draw(st.sampled_from([20, 100_000]))
+    centre = [draw(st.integers(-reach, reach)) for _ in range(m)]
+    _, narrow, wide = WALK_TABLES[m]
+    bounds = []
+    for values, vectors in tables:
+        width = narrow * (wide / narrow) ** (draw(st.integers(0, 8)) / 8)
+        v = vectors[min(int(np.searchsorted(values, width)), len(values) - 1)]
+        lo = tuple(c + draw(st.integers(-2, 2)) for c in centre)
+        bounds.append((lo, tuple(a + int(b) for a, b in zip(lo, v))))
+    # Whole chunks, then a partial one or a few probes past a boundary.
+    budget = draw(st.integers(0, 2)) * 8192 + draw(st.integers(1, 8192 + 17))
+    return M, IntervalConstraint(tuple(bounds)), budget
+
+
+def _walk(finder, M, cons, budget):
+    try:
+        res = finder(M, cons, budget)
+    except ProbeBudgetExhaustedError:
+        return "exhausted"
+    return res.point, res.probes, res.backend
+
+
+class TestLineWalkReference:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(walk_cases())
+    def test_find_witness_matches_reference(self, case):
+        M, cons, budget = case
+        assert _walk(find_witness, M, cons, budget) == _walk(
+            line_walk_reference, M, cons, budget
+        )
