@@ -1,8 +1,9 @@
 """Command-line entry point with JSON I/O.
 
 Exit codes: 0 success, 2 usage error (malformed input files included),
-3 witness not found in box, 4 certificate invalid or malformed, 5 probe,
-search or precision budget exhausted.
+4 certificate invalid or malformed, 5 probe, search or precision budget
+exhausted (a witness query that neither the line walk nor the brute box
+answers included).
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from .genericity import (
     IntervalConstraint,
     MultiOrder,
     ProbeBudgetExhaustedError,
-    brute_box,
     find_witness,
-    witness_brute,
 )
 from .matrix import build
 from .orders import OrderSpec
@@ -38,7 +37,6 @@ from .serialize import SCHEMA_VERSION, certificate_from_json, certificate_to_jso
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_NOT_FOUND = 3
 EXIT_CERT_INVALID = 4
 EXIT_BUDGET = 5
 
@@ -71,21 +69,8 @@ def _cmd_build_matrix(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     M = _load(args.multiorder, MultiOrder.from_json)
     cons = _load(args.constraints, IntervalConstraint.from_json)
-    if M.direction is not None:
-        res = find_witness(M, cons, probe_budget=args.probe_budget)
-        _emit(
-            {
-                "witness": list(res.point),
-                "probes": res.probes,
-                "backend": res.backend,
-            }
-        )
-        return EXIT_OK
-    z = witness_brute(M, cons, brute_box(M.rank))
-    if z is None:
-        _emit({"witness": None, "backend": "brute"})
-        return EXIT_NOT_FOUND
-    _emit({"witness": list(z), "probes": 0, "backend": "brute"})
+    res = find_witness(M, cons, probe_budget=args.probe_budget)
+    _emit({"witness": list(res.point), "probes": res.probes, "backend": res.backend})
     return EXIT_OK
 
 

@@ -1,20 +1,25 @@
 """The constructed generic multiorder on Z^m and its witness finders.
 
-The accelerated finder walks anchor points along the cylinder axis (the
-matrix row orthogonal to every order's form), rounds to the nearest
-lattice point and validates exactly; a brute-force box enumeration is
-both the ground-truth oracle and the fallback.
+The one witness route, find_witness, walks anchor points along the
+cylinder axis (the direction orthogonal to every order's leading form),
+rounds to the nearest lattice point and validates exactly; a brute-force
+box enumeration is both the ground-truth oracle and the fallback.  The
+axis is the stored direction, or for n = m - 1 orders the cross row of
+their leading forms, which those forms fix; without one the route is the
+box scan alone.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .lattice import IntVec, filter_margin, first_in_box
-from .matrix import OrderMatrix
+from .matrix import OrderMatrix, cross_row
 from .orders import Cmp, LinearForm, OrderSpec
 
 DEFAULT_PROBE_BUDGET = 10**6
@@ -28,10 +33,6 @@ class MalformedConstraintError(ValueError):
     pass
 
 
-class NoDirectionError(ValueError):
-    """The accelerated finder needs a matrix-built multiorder."""
-
-
 class ProbeBudgetExhaustedError(RuntimeError):
     pass
 
@@ -43,6 +44,8 @@ class MultiOrder:
     direction: LinearForm | None = None
 
     def __post_init__(self) -> None:
+        if self.rank < 1:
+            raise ValueError(f"rank {self.rank} must be at least 1")
         for o in self.orders:
             if o.rank != self.rank:
                 raise ValueError("order rank differs from ambient rank")
@@ -58,6 +61,22 @@ class MultiOrder:
     @property
     def n(self) -> int:
         return len(self.orders)
+
+    @functools.cached_property
+    def walk_direction(self) -> LinearForm | None:
+        """The axis of the line walk: the stored direction, or else, for
+        n = m - 1 leading forms over one radical basis, their cross row when
+        it is nonzero (the forms are independent); None otherwise.  Derived
+        on first use only, so multiorders that never walk never pay for it."""
+        if self.direction is not None:
+            return self.direction
+        forms = [o.leading for o in self.orders]
+        if self.n != self.rank - 1 or len({f.basis for f in forms}) != 1:
+            return None
+        try:
+            return cross_row(forms)
+        except ValueError:  # all cofactors zero: the forms are dependent
+            return None
 
     def to_json(self) -> dict:
         return {
@@ -161,20 +180,26 @@ def _float_windows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Leading-form float matrix C, outer value windows (-inf/+inf open),
     the weights W of the filter bound (lattice.filter_margin) for C's rows,
-    and per row the bound for the windows' finite endpoints."""
+    and per row the bound for the windows' finite endpoints.
+
+    A side whose float value overflows is left open and out of the bound:
+    the filter then admits more points, and satisfies still decides."""
     forms = [o.leading for o in M.orders]
     C = np.array([f.floats() for f in forms], dtype=float)
     W = np.array([f.weights() for f in forms])
     lo = np.full(M.n, -np.inf)
     hi = np.full(M.n, np.inf)
     ends = np.zeros(M.n)
-    for i, (l, h) in enumerate(cons.bounds):
-        if l is not None:
-            lo[i] = float(np.dot(C[i], l))
-        if h is not None:
-            hi[i] = float(np.dot(C[i], h))
-        for e in (l, h):
-            if e is not None:
+    for i, bound in enumerate(cons.bounds):
+        for side, e in zip((lo, hi), bound):
+            if e is None:
+                continue
+            try:
+                value = float(np.dot(C[i], e))
+            except OverflowError:  # a coordinate beyond the float range
+                continue
+            if math.isfinite(value):
+                side[i] = value
                 ends[i] = max(ends[i], filter_margin(W[i], e))
     return C, lo, hi, W, ends
 
@@ -218,62 +243,63 @@ def find_witness(
     cons: IntervalConstraint,
     probe_budget: int = DEFAULT_PROBE_BUDGET,
 ) -> WitnessResult:
-    """Accelerated witness search along the cylinder axis, exact validation.
+    """The one witness route: a walk along M.walk_direction, exact validation.
 
-    Falls back to one brute scan of the box brute_box(m); the existence
+    Without a walk direction, or once the walk has spent probe_budget
+    probes, one brute scan of the box brute_box(m) decides; the existence
     engine is Kronecker's theorem, which gives no effective bound.  Every
     smaller box is a prefix of that scan in canonical order, so the scan
     returns the first point of the smallest box that holds one.
     """
     cons.validate(M)
-    if M.direction is None:
-        raise NoDirectionError("witness requires a matrix-built multiorder")
     m = M.rank
     if all(lo is None and hi is None for lo, hi in cons.bounds):
         return WitnessResult((0,) * m, 0, "line")
 
-    C, lo, hi, W, ends = _float_windows(M, cons)
-    # Synthesize unit-width windows on semi-infinite sides for the anchor.
-    alo, ahi = lo.copy(), hi.copy()
-    for i in range(M.n):
-        if np.isinf(alo[i]) and np.isinf(ahi[i]):
-            alo[i], ahi[i] = -0.5, 0.5
-        elif np.isinf(alo[i]):
-            alo[i] = ahi[i] - 1.0
-        elif np.isinf(ahi[i]):
-            ahi[i] = alo[i] + 1.0
-    mids = (alo + ahi) / 2.0
-
-    d = np.array(M.direction.floats())
-    d = d / np.linalg.norm(d)
-    system = np.vstack([C, d])
-    rhs = np.concatenate([mids, [0.0]])
-    try:
-        p0 = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:  # fewer or more orders than m - 1, or dependent forms
-        p0 = np.linalg.lstsq(system, rhs, rcond=None)[0]
-
     probes = 0
-    # Above 2^53 many probes round to one point; check each point once.
-    checked: set[IntVec] = set()
-    while probes < probe_budget:
-        count = min(_T0.size, probe_budget - probes)
-        ts = _T0[:count] + (probes // 2) * _PARITY[:count]
-        # One row per coordinate, one column per probe: few long numpy loops.
-        Z = np.rint(p0[:, None] + d[:, None] * ts)
-        # A probe is dropped only when it is certainly outside a window: its
-        # value differs from an endpoint's by more than both error bounds.
-        V = C @ Z
-        S = filter_margin(W, Z) + ends[:, None]
-        mask = np.all((V - lo[:, None] >= -S) & (V - hi[:, None] <= S), axis=0)
-        for idx in np.flatnonzero(mask):
-            z = tuple(int(v) for v in Z[:, idx])
-            if z in checked:
-                continue
-            checked.add(z)
-            if satisfies(M, cons, z):
-                return WitnessResult(z, probes + int(idx) + 1, "line")
-        probes += count
+    direction = M.walk_direction
+    if direction is not None:
+        C, lo, hi, W, ends = _float_windows(M, cons)
+        # Synthesize unit-width windows on semi-infinite sides for the anchor.
+        alo, ahi = lo.copy(), hi.copy()
+        for i in range(M.n):
+            if np.isinf(alo[i]) and np.isinf(ahi[i]):
+                alo[i], ahi[i] = -0.5, 0.5
+            elif np.isinf(alo[i]):
+                alo[i] = ahi[i] - 1.0
+            elif np.isinf(ahi[i]):
+                ahi[i] = alo[i] + 1.0
+        mids = (alo + ahi) / 2.0
+
+        d = np.array(direction.floats())
+        d = d / np.linalg.norm(d)
+        system = np.vstack([C, d])
+        rhs = np.concatenate([mids, [0.0]])
+        try:
+            p0 = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:  # n != m - 1, or dependent forms
+            p0 = np.linalg.lstsq(system, rhs, rcond=None)[0]
+
+        # Above 2^53 many probes round to one point; check each point once.
+        checked: set[IntVec] = set()
+        while probes < probe_budget:
+            count = min(_T0.size, probe_budget - probes)
+            ts = _T0[:count] + (probes // 2) * _PARITY[:count]
+            # One row per coordinate, one column per probe: few long numpy loops.
+            Z = np.rint(p0[:, None] + d[:, None] * ts)
+            # A probe is dropped only when it is certainly outside a window: its
+            # value differs from an endpoint's by more than both error bounds.
+            V = C @ Z
+            S = filter_margin(W, Z) + ends[:, None]
+            mask = np.all((V - lo[:, None] >= -S) & (V - hi[:, None] <= S), axis=0)
+            for idx in np.flatnonzero(mask):
+                z = tuple(int(v) for v in Z[:, idx])
+                if z in checked:
+                    continue
+                checked.add(z)
+                if satisfies(M, cons, z):
+                    return WitnessResult(z, probes + int(idx) + 1, "line")
+            probes += count
 
     z = witness_brute(M, cons, brute_box(m))
     if z is None:
@@ -306,8 +332,6 @@ def interval_around(
 
 
 def _cmp_key(o: OrderSpec):
-    import functools
-
     return functools.cmp_to_key(lambda a, b: int(o.compare(a, b)))
 
 
@@ -320,10 +344,9 @@ def extension_property_test(
 ) -> ExtensionReport:
     """Randomized corroboration of the k-point extension property.
 
-    For each trial: sample k distinct points, choose one of the k+1
-    intervals per order, and search for a common point.  Matrix-built
-    multiorders use the accelerated finder; others fall back to bounded
-    brute search, where NotFoundInBox is recorded as a failure.
+    For each trial: sample k distinct points of the box [-box, box]^m,
+    choose one of the k+1 intervals per order, and search for a common
+    point with find_witness; a query it exhausts is recorded as a failure.
     """
     if box < 0 or not 1 <= k <= (2 * box + 1) ** M.rank:
         raise ValueError("need box >= 0 and 1 <= k <= (2 * box + 1)^m points")
@@ -336,13 +359,8 @@ def extension_property_test(
         pts = sorted(points)
         choices = [rng.randint(0, k) for _ in range(M.n)]
         cons = interval_around(M, pts, choices)
-        if M.direction is not None:
-            try:
-                find_witness(M, cons)
-            except ProbeBudgetExhaustedError:
-                failures.append((pts, choices, cons))
-        else:
-            z = witness_brute(M, cons, max(2 * box, 16))
-            if z is None:
-                failures.append((pts, choices, cons))
+        try:
+            find_witness(M, cons)
+        except ProbeBudgetExhaustedError:
+            failures.append((pts, choices, cons))
     return ExtensionReport(trials=trials, failures=failures)

@@ -11,6 +11,7 @@ verify_certificate re-checks it without trusting the refuter.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,13 +201,7 @@ def _pullback_order(o: OrderSpec, basis: list[IntVec]) -> OrderSpec:
     expressed on Z^rank(basis) through those coordinates."""
     forms = []
     for f in o.forms:
-        coeffs = []
-        for b in basis:
-            acc = f.basis.zero
-            for t, bt in enumerate(b):
-                if bt:
-                    acc = acc + f.coeffs[t] * bt
-            coeffs.append(acc)
+        coeffs = [f.value(b) for b in basis]
         if all(c.is_zero() for c in coeffs):
             continue
         forms.append(LinearForm(tuple(coeffs)))
@@ -226,23 +221,30 @@ def refute_rational_kernel(orders: list[OrderSpec], i: int) -> Certificate:
     The order-i interval has both endpoints inside the kernel with equal
     (zero) leading values, so every point of the open interval lies in the
     sublattice; the recursive certificate then empties the intersection.
+    The recursion drops order i; when that finds no certificate, it keeps
+    order i's tail, and order i's interval is then the lift of its inner
+    interval, or (0, b0) if the inner certificate leaves it open.
     """
     m = _common_rank(orders)
     c_i = orders[i].leading
     basis = kernel_lattice(c_i, m)
-    pulled = [_pullback_order(o, basis) for j, o in enumerate(orders) if j != i]
-    inner = refute(pulled)
     order_map = [j for j in range(len(orders)) if j != i]
+    inner = None
+    if order_map:
+        with contextlib.suppress(NoCertificateFound):
+            inner = refute([_pullback_order(orders[j], basis) for j in order_map])
+    if inner is None:
+        # On the kernel, order i's tail is still a total order.
+        order_map = list(range(len(orders)))
+        inner = refute([_pullback_order(o, basis) for o in orders])
     bounds = _infinite_bounds(len(orders))
-    for pos, j in enumerate(order_map):
-        lo, hi = inner.constraints.bounds[pos]
+    for j, (lo, hi) in zip(order_map, inner.constraints.bounds):
         bounds[j] = (_lift(lo, basis), _lift(hi, basis))
-    b0 = basis[0]
-    zero = (0,) * m
-    if orders[i].compare(zero, b0) == Cmp.LESS:
-        bounds[i] = (zero, b0)
-    else:
-        bounds[i] = (b0, zero)
+    if bounds[i] == (None, None):
+        b0 = basis[0]
+        zero = (0,) * m
+        less = orders[i].compare(zero, b0) == Cmp.LESS
+        bounds[i] = (zero, b0) if less else (b0, zero)
     return Certificate(
         IntervalConstraint(tuple(bounds)),
         TAG_RATIONAL_KERNEL,
@@ -434,7 +436,13 @@ def _verify_rational_kernel(orders: list[OrderSpec], cert: Certificate) -> bool:
         return False
     if not (c_i.value(lo_i).is_zero() and c_i.value(hi_i).is_zero()):
         return False
+    # The inner certificate covers the other orders, or all n orders; then
+    # order i's interval is the lift of its inner one unless that is open.
     order_map = [j for j in range(len(orders)) if j != i]
+    if len(inner.constraints.bounds) == len(orders):
+        order_map = list(range(len(orders)))
+    if not order_map:
+        return False
     pulled = [_pullback_order(orders[j], basis) for j in order_map]
     # The inner check fits its intervals to the pulled-back orders, so only
     # then are its endpoints safe to lift.
@@ -443,6 +451,7 @@ def _verify_rational_kernel(orders: list[OrderSpec], cert: Certificate) -> bool:
     return all(
         cert.constraints.bounds[j] == (_lift(lo, basis), _lift(hi, basis))
         for j, (lo, hi) in zip(order_map, inner.constraints.bounds)
+        if j != i or (lo, hi) != (None, None)
     )
 
 

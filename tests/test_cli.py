@@ -14,7 +14,6 @@ from multiorder import cli
 from multiorder.cli import (
     EXIT_BUDGET,
     EXIT_CERT_INVALID,
-    EXIT_NOT_FOUND,
     EXIT_OK,
     EXIT_USAGE,
     run,
@@ -76,7 +75,7 @@ OLD_SHAPE_CERTIFICATES = {
     ),
 }
 # Values a mutation puts in place of one JSON node.
-REPLACEMENTS = [None, True, False, 0, 1, -1, 10**30, 1.5, "x", "-inf", [], [[0]], {}]
+REPLACEMENTS = [None, True, False, 0, 1, -1, 10**30, 10**400, 1.5, "x", "-inf", [], [[0]], {}]
 FUZZ_EXAMPLES = 1500
 
 
@@ -132,6 +131,11 @@ def write_json(tmp_path, name, payload):
 @pytest.fixture()
 def m2_file(tmp_path):
     return write_json(tmp_path, "m2.json", from_matrix(build(2, 0)).to_json())
+
+
+@pytest.fixture()
+def m3_file(tmp_path):
+    return write_json(tmp_path, "m3.json", from_matrix(build(3, 0)).to_json())
 
 
 @pytest.fixture()
@@ -271,16 +275,19 @@ class TestWitness:
         cons = write_json(
             tmp_path, "c1.json", IntervalConstraint((((0,), (1,)),)).to_json()
         )
+        # One order on Z^1 has no walk direction: the brute box alone
+        # decides, and a miss is an exhausted search like any other.
         code, lines = invoke(
             capsys, ["witness", "--multiorder", mfile, "--constraints", cons]
         )
-        assert code == EXIT_NOT_FOUND
-        assert lines[0]["witness"] is None
+        assert code == EXIT_BUDGET
+        assert lines == []
 
     def test_no_direction_narrow_windows_m4(self, capsys, tmp_path):
         # The orders of build(4, 0) without their direction, and windows of
         # widths 2.6e-4, 1.2e-4 and 8.9e-6 above the origin: no point up to
-        # box 128.  The scan stops at brute_box(4) = 36, not at box 1024.
+        # box 128.  The walk along the derived direction spends its budget,
+        # and the scan stops at brute_box(4) = 36, not at box 1024.
         orders = from_matrix(build(4, 0)).orders
         mfile = write_json(tmp_path, "m4.json", MultiOrder(4, orders).to_json())
         uppers = [(-8, 0, -7, 9), (-6, -4, 5, 0), (8, -3, -10, 10)]
@@ -291,8 +298,39 @@ class TestWitness:
             capsys, ["witness", "--multiorder", mfile, "--constraints", cons]
         )
         assert time.perf_counter() - start < 2.0
-        assert code == EXIT_NOT_FOUND
-        assert lines == [{"schema": 1, "witness": None, "backend": "brute"}]
+        assert code == EXIT_BUDGET
+        assert lines == []
+
+    def test_endpoint_beyond_float_range(self, capsys, tmp_path, m3_file):
+        # The lower end's value -(10^400) has no float; that side is left
+        # open in the filter and the exact check decides.
+        bounds = (((-(10**400), 0, 0), (1, 0, 0)), (None, None))
+        cons = IntervalConstraint(bounds)
+        cfile = write_json(tmp_path, "c.json", cons.to_json())
+        code, lines = invoke(
+            capsys, ["witness", "--multiorder", m3_file, "--constraints", cfile]
+        )
+        assert code == EXIT_OK
+        M = from_matrix(build(3, 0))
+        assert satisfies(M, cons, tuple(lines[0]["witness"]))
+
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one_is_usage_error(self, capsys, tmp_path, cons_file, rank):
+        mfile = write_json(tmp_path, "m.json", {"rank": rank, "orders": []})
+        code = run(["witness", "--multiorder", mfile, "--constraints", cons_file])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: rank {rank} must be at least 1\n"
+
+    def test_no_orders_gives_origin(self, capsys, tmp_path):
+        mfile = write_json(tmp_path, "m.json", {"rank": 2, "orders": []})
+        cfile = write_json(tmp_path, "c.json", [])
+        code, lines = invoke(
+            capsys, ["witness", "--multiorder", mfile, "--constraints", cfile]
+        )
+        assert code == EXIT_OK
+        assert lines == [{"schema": 1, "witness": [0, 0], "probes": 0, "backend": "line"}]
 
     def test_rank_7_falls_back_to_brute_box(self, capsys, tmp_path):
         # One probe misses the window (0, 1); the fallback box in rank 7 is
@@ -504,6 +542,74 @@ class TestRefuteVerify:
         assert code == EXIT_OK
         assert lines[0]["certificate"] is None
         assert lines[0]["reason"] == "NoCertificateFound"
+
+
+# Tuples whose RationalKernel certificate must keep the recursive order's
+# tail: without it the inner tuple is empty, or one dense order on Z^2 that
+# no certificate refutes.
+KEEP_TAIL = {
+    "tail-discrete": [
+        OrderSpec(2, (LinearForm((B23.one, B23.one)), LinearForm((B23.zero, B23.one)))),
+    ],
+    "tail-small-volume": [
+        OrderSpec(3, (
+            LinearForm((B23.one, B23.one, B23.one)),
+            LinearForm((B23.zero, B23.one, B23.sqrt(2))),
+        )),
+        OrderSpec(3, (LinearForm((B23.one, B23.sqrt(2), B23.sqrt(3))),)),
+    ],
+}
+
+
+def _off_kernel(cert):
+    # (1, 0, ..., 0) lies outside the kernel of order 0's leading form and
+    # above the lower end (0, ..., 0) in order 0.
+    upper = cert["constraints"][0]["upper"]
+    cert["constraints"][0]["upper"] = [1] + [0] * (len(upper) - 1)
+
+
+def _inner_perturbed(cert):
+    upper = cert["evidence"]["inner"]["constraints"][0]["upper"]
+    upper[0] += 1 if upper[0] > 0 else -1
+
+
+def _inner_emptied(cert):
+    cert["evidence"]["inner"]["constraints"] = []
+
+
+def _not_the_lift(cert):
+    # A kernel vector above the origin in order 0 that is not the lifted
+    # inner end.
+    upper = cert["constraints"][0]["upper"]
+    cert["constraints"][0]["upper"] = [-2, 2] if len(upper) == 2 else [-1, 1, 0]
+
+
+class TestRationalKernelKeepsOrder:
+    @pytest.mark.parametrize("name", sorted(KEEP_TAIL))
+    def test_certificate_verifies(self, capsys, tmp_path, name):
+        ofile = write_json(tmp_path, "o.json", [o.to_json() for o in KEEP_TAIL[name]])
+        code, lines = invoke(capsys, ["refute", "--orders", ofile])
+        cert = lines[0]["certificate"]
+        assert code == EXIT_OK
+        assert cert["lemma_tag"] == "RationalKernel"
+        # The inner certificate covers every order, the recursive one too.
+        assert len(cert["evidence"]["inner"]["constraints"]) == len(KEEP_TAIL[name])
+        cfile = write_json(tmp_path, "cert.json", cert)
+        code, lines = invoke(capsys, ["verify-cert", "--orders", ofile, "--cert", cfile])
+        assert (code, lines) == (EXIT_OK, [{"schema": 1, "valid": True}])
+
+    @pytest.mark.parametrize(
+        "tamper", [_off_kernel, _inner_perturbed, _inner_emptied, _not_the_lift]
+    )
+    @pytest.mark.parametrize("name", sorted(KEEP_TAIL))
+    def test_tampered_copy_is_invalid(self, capsys, tmp_path, name, tamper):
+        ofile = write_json(tmp_path, "o.json", [o.to_json() for o in KEEP_TAIL[name]])
+        _, lines = invoke(capsys, ["refute", "--orders", ofile])
+        cert = lines[0]["certificate"]
+        tamper(cert)
+        cfile = write_json(tmp_path, "bad.json", cert)
+        code, lines = invoke(capsys, ["verify-cert", "--orders", ofile, "--cert", cfile])
+        assert (code, lines) == (EXIT_CERT_INVALID, [{"schema": 1, "valid": False}])
 
 
 class TestFiniteCommands:

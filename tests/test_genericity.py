@@ -13,7 +13,6 @@ from multiorder.genericity import (
     IntervalConstraint,
     MalformedConstraintError,
     MultiOrder,
-    NoDirectionError,
     ProbeBudgetExhaustedError,
     UnverifiedMatrixError,
     brute_box,
@@ -26,6 +25,7 @@ from multiorder.genericity import (
     witness,
     witness_brute,
 )
+from multiorder.finite import embed, from_pattern
 from multiorder.lattice import iter_box
 from multiorder.matrix import OrderMatrix, build
 from multiorder.orders import Cmp, LinearForm, OrderSpec
@@ -127,11 +127,14 @@ class TestWitness:
         cons = IntervalConstraint((((None, None),) * m3.n))
         assert witness(m3, cons) == (0, 0, 0)
 
-    def test_requires_direction(self):
+    def test_n_equal_m_goes_straight_to_brute_box(self):
+        # One order on Z^1 has no walk direction (n = m), so no probe is
+        # made and the box scan alone answers.
         o = OrderSpec(1, (LinearForm((B.one,)),))
         M = MultiOrder(1, (o,))
-        with pytest.raises(NoDirectionError):
-            witness(M, IntervalConstraint((((0,), None),)))
+        res = find_witness(M, IntervalConstraint((((0,), None),)))
+        assert (res.point, res.probes, res.backend) == ((1,), 0, "brute")
+        assert M.walk_direction is None
 
     def test_repeated_order_walks_from_least_squares_anchor(self, m3):
         # The anchor system is square but singular: two equal leading forms.
@@ -456,24 +459,45 @@ def walk_host(m, seed):
     return M, tables
 
 
-@st.composite
-def walk_cases(draw):
-    """A host, one window per order of the drawn width around a centre near
-    the origin or far out, and a budget that may end in any chunk."""
-    m = draw(st.integers(2, 5))
-    M, tables = walk_host(m, draw(st.integers(0, 2)))
-    reach = draw(st.sampled_from([20, 100_000]))
-    centre = [draw(st.integers(-reach, reach)) for _ in range(m)]
+def walk_windows(M, tables, rng):
+    """One window per order of a drawn width around a centre near the
+    origin or far out; rng is a random.Random or a Hypothesis Draws."""
+    m = M.rank
+    reach = rng.choice([20, 100_000])
+    centre = [rng.randint(-reach, reach) for _ in range(m)]
     _, narrow, wide = WALK_TABLES[m]
     bounds = []
     for values, vectors in tables:
-        width = narrow * (wide / narrow) ** (draw(st.integers(0, 8)) / 8)
+        width = narrow * (wide / narrow) ** (rng.randint(0, 8) / 8)
         v = vectors[min(int(np.searchsorted(values, width)), len(values) - 1)]
-        lo = tuple(c + draw(st.integers(-2, 2)) for c in centre)
+        lo = tuple(c + rng.randint(-2, 2) for c in centre)
         bounds.append((lo, tuple(a + int(b) for a, b in zip(lo, v))))
+    return IntervalConstraint(tuple(bounds))
+
+
+class Draws:
+    """random.Random's randint and choice, drawn through Hypothesis."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def randint(self, a, b):
+        return self.draw(st.integers(a, b))
+
+    def choice(self, seq):
+        return self.draw(st.sampled_from(seq))
+
+
+@st.composite
+def walk_cases(draw):
+    """A host, its windows (walk_windows), and a budget that may end in any
+    chunk."""
+    m = draw(st.integers(2, 5))
+    M, tables = walk_host(m, draw(st.integers(0, 2)))
+    cons = walk_windows(M, tables, Draws(draw))
     # Whole chunks, then a partial one or a few probes past a boundary.
     budget = draw(st.integers(0, 2)) * 8192 + draw(st.integers(1, 8192 + 17))
-    return M, IntervalConstraint(tuple(bounds)), budget
+    return M, cons, budget
 
 
 def _walk(finder, M, cons, budget):
@@ -492,3 +516,62 @@ class TestLineWalkReference:
         assert _walk(find_witness, M, cons, budget) == _walk(
             line_walk_reference, M, cons, budget
         )
+
+
+# -- one witness route: a derived direction walks like the stored one ---------
+
+
+class TestOneRoute:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_derived_direction_walks_like_stored(self, m, seed):
+        # The cross row of the m - 1 leading forms is exactly the matrix's
+        # last row, so every query gives the same point, probes and backend.
+        M, tables = walk_host(m, seed)
+        bare = MultiOrder(m, M.orders)
+        assert bare.direction is None
+        assert bare.walk_direction == M.direction
+        rng = random.Random(1000 * m + seed)
+        for _ in range(50):
+            cons = walk_windows(M, tables, rng)
+            budget = 8192 * rng.randint(1, 3)
+            assert _walk(find_witness, bare, cons, budget) == _walk(
+                find_witness, M, cons, budget
+            )
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_far_windows_without_direction(self, m):
+        # Four points near a centre of max-norm up to 1e5 and one of their
+        # five intervals per order: far outside brute_box(m), so only the
+        # walk along the derived direction reaches them.
+        M = MultiOrder(m, from_matrix(build(m, 0)).orders)
+        rng = random.Random(m)
+        for _ in range(20):
+            centre = [rng.randint(-10**5, 10**5) for _ in range(m)]
+            pts = set()
+            while len(pts) < 4:
+                pts.add(tuple(c + rng.randint(-3, 3) for c in centre))
+            choices = [rng.randint(0, 4) for _ in M.orders]
+            cons = interval_around(M, sorted(pts), choices)
+            res = find_witness(M, cons)
+            assert res.backend == "line"
+            assert satisfies(M, cons, res.point)
+
+    def test_dependent_forms_have_no_direction(self, m3):
+        assert MultiOrder(3, (m3.orders[0], m3.orders[0])).walk_direction is None
+
+    def test_mixed_bases_have_no_direction(self):
+        # Leading forms over two radical bases have no common cross row.
+        rows = []
+        for basis in (RadicalBasis((2, 3)), RadicalBasis((5, 7))):
+            p, q = basis.primes
+            rows.append(LinearForm((basis.one, basis.sqrt(p), basis.sqrt(q))))
+        M = MultiOrder(3, tuple(OrderSpec(3, (f,)) for f in rows))
+        assert M.walk_direction is None
+        res = find_witness(M, IntervalConstraint((((0, 0, 0), None),) * 2))
+        assert (res.probes, res.backend) == (0, "brute")
+
+    def test_embed_without_direction(self, m3):
+        # embed reaches find_witness only, so it needs no stored direction.
+        s = from_pattern((2, 3, 1))
+        assert embed(s, MultiOrder(3, m3.orders)) == embed(s, m3)
